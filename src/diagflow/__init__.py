@@ -46,7 +46,6 @@ from .flow import (
     integrate_redundant,
     layer_rhs,
     theta_rhs,
-    write_trajectory_csv,
 )
 from .mirror import (
     HyperbolicEntropy,
@@ -73,4 +72,4 @@ from .paramcheck import (
     theta_of_flat,
     trajectory_on_manifold,
 )
-from .report import DiagnosticsReport, build_diagnostics
+from .report import DiagnosticsReport, build_diagnostics, write_trajectory_csv

@@ -6,8 +6,9 @@ Subcommands: ``simulate`` (one flow run, full trajectory dump),
 ``bias`` (flow limit against the constrained-entropy solution), and
 ``paramcheck`` (certification table for the flattened product map).
 
-Exit codes: 0 when every check passes, 1 on a check or numerical failure,
-2 on usage errors. An optional ``key = value`` config file supplies flag
+Exit codes: 0 when every check passes, 1 on a check or numerical failure
+or an unwritable output file, 2 on usage errors (an unreadable config or
+init file included). An optional ``key = value`` config file supplies flag
 defaults; explicit flags win.
 """
 
@@ -19,12 +20,7 @@ import sys
 import numpy as np
 
 from . import paramcheck as pc
-from .conservation import (
-    TiedMinimumError,
-    conservation_defect,
-    locate_min_layers,
-    reconstruction_error,
-)
+from .conservation import TiedMinimumError, locate_min_layers
 from .experiments import (
     ExperimentConfig,
     NewtonError,
@@ -33,15 +29,9 @@ from .experiments import (
     run_convergence,
     run_crossings,
 )
-from .flow import (
-    DivergenceError,
-    StepController,
-    StepUnderflowError,
-    integrate,
-    write_trajectory_csv,
-)
+from .flow import DivergenceError, StepController, StepUnderflowError, integrate
 from .model import InitScheme, init_layers
-from .report import build_diagnostics
+from .report import build_diagnostics, write_trajectory_csv
 
 # Pass/fail thresholds for the summary checks, valid at the default
 # integrator settings.
@@ -191,7 +181,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.diagnostics:
         diag.write(cfg.diagnostics)
 
-    defect = float(conservation_defect(traj).max())
+    defect = diag.value("conservation", "max_defect")
     rows = [
         ("final loss", f"{traj.losses[-1]:.6g}", None),
         ("conservation max defect", f"{defect:.3e}", defect <= CONSERVATION_TOL),
@@ -199,12 +189,12 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     ]
     if idx.holds:
         census_viol = diag.value("sign_census", "violations")
-        rec = reconstruction_error(traj, idx)
+        rec = diag.value("reconstruction", "max_error")
         rows.append(("sign census violations", str(census_viol), census_viol == 0))
         rows.append(("reconstruction max error", f"{rec:.3e}", rec <= RECONSTRUCTION_TOL))
     rows.append(("mirror residual (general)", f"{diag.value('mirror', 'general_residual'):.3e}", None))
-    rows.append(("snapshots on manifold", str(bool(diag.value("manifold", "all_snapshots_on_manifold"))),
-                 bool(diag.value("manifold", "all_snapshots_on_manifold"))))
+    on_manifold = bool(diag.value("manifold", "all_snapshots_on_manifold"))
+    rows.append(("snapshots on manifold", str(on_manifold), on_manifold))
     return 0 if _print_table(rows) else 1
 
 
@@ -248,9 +238,9 @@ def _cmd_bias(cfg: ExperimentConfig) -> int:
     return 0 if _print_table(rows) else 1
 
 
-def _cmd_paramcheck(cfg: ExperimentConfig, samples: int) -> int:
+def _cmd_paramcheck(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
-    L, d = cfg.layers, cfg.dim
+    L, d, samples = cfg.layers, cfg.dim, cfg.n
 
     max_defect = 0.0
     for _ in range(samples):
@@ -298,7 +288,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     opts = _resolve(args, parser)
-    cfg = _experiment_config(opts)
+    try:
+        cfg = _experiment_config(opts)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read --init-file: {exc}")
     try:
         if args.command == "simulate":
             return _cmd_simulate(cfg)
@@ -308,9 +301,9 @@ def main(argv=None) -> int:
             return _cmd_convergence(cfg)
         if args.command == "bias":
             return _cmd_bias(cfg)
-        return _cmd_paramcheck(cfg, samples=opts["samples"])
+        return _cmd_paramcheck(cfg)
     except (DivergenceError, StepUnderflowError, NewtonError, TiedMinimumError,
-            np.linalg.LinAlgError, ValueError) as exc:
+            np.linalg.LinAlgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

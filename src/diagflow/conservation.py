@@ -106,7 +106,7 @@ def conservation_defect(traj: Trajectory) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SignCensus:
-    """Which nodes changed sign or touched zero along the grid."""
+    """Which nodes changed sign or touched zero along the snapshots."""
 
     flagged: np.ndarray  # (L, d) bool
     violations: tuple    # ((coordinate, layer), ...) for non-minimal nodes
@@ -120,11 +120,12 @@ class SignCensus:
 
 
 def sign_census(traj: Trajectory, idx: MinLayerIndex) -> SignCensus:
-    """Census of sign changes at grid resolution.
+    """Census of sign changes at snapshot resolution.
 
     A crossing is a negative sign product between consecutive snapshots; a
-    node evaluating exactly to zero anywhere on the grid also counts.
-    Double crossings between snapshots are invisible at this resolution.
+    node evaluating exactly to zero at any snapshot also counts. The census
+    sees the recorded (possibly decimated) snapshots, not every integrator
+    step, so double crossings between snapshots are invisible.
     A violation is any flagged node outside its coordinate's minimal layer.
     """
     u = traj.layers
@@ -162,26 +163,24 @@ def reconstruct_theta(v1_t: np.ndarray, perm: PermutedStack) -> np.ndarray:
     Uses ``theta = sign(prod_{j>=2} v^j(0)) * v^1(t)
     * prod_{j>=2} sqrt(v^1(t)^2 + deltas_j)``; the signed ``v^1(t)`` factor
     keeps the reconstruction valid after minimal nodes cross zero.
+    ``v1_t`` has shape ``(..., d)``: one snapshot or a stack of them.
     """
     v1_t = np.asarray(v1_t, dtype=float)
-    rad = v1_t ** 2 + perm.deltas
+    rad = v1_t[..., None, :] ** 2 + perm.deltas
     if np.any(rad < 0):
         raise ValueError("negative radicand: inputs inconsistent with the initialization")
-    return np.prod(perm.signs, axis=0) * v1_t * np.prod(np.sqrt(rad), axis=0)
+    return np.prod(perm.signs, axis=0) * v1_t * np.prod(np.sqrt(rad), axis=-2)
 
 
 def reconstruction_error(traj: Trajectory, idx: MinLayerIndex) -> float:
     """Max gap between the reconstructed and the recorded theta trajectory.
 
     Gathers the minimal layer's values at every snapshot and rebuilds theta
-    through ``reconstruct_theta``'s formula; small on an accurate flow.
+    through ``reconstruct_theta``; small on an accurate flow.
     """
     perm = min_layer_permutation(traj.stack_at(0), idx)
-    cols = np.arange(traj.dim)
-    v1 = traj.layers[:, idx.layer, cols]  # (K, d)
-    rad = v1[:, None, :] ** 2 + perm.deltas[None]
-    rec = np.prod(perm.signs, axis=0) * v1 * np.prod(np.sqrt(rad), axis=1)
-    return float(np.max(np.abs(rec - traj.thetas)))
+    v1 = traj.layers[:, idx.layer, np.arange(traj.dim)]  # (K, d)
+    return float(np.max(np.abs(reconstruct_theta(v1, perm) - traj.thetas)))
 
 
 def mobility_diagonal(stack: LayerStack) -> np.ndarray:

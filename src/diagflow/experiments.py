@@ -24,15 +24,12 @@ from .conservation import (
     SignCensus,
 )
 from .flow import StepController, Trajectory, integrate, integrate_redundant
-from .model import InitScheme, LayerStack, QuadraticLoss, init_layers
+from .model import EIG_CUTOFF, InitScheme, LayerStack, QuadraticLoss, init_layers
 from .mirror import HyperbolicEntropy, PowerEntropy
 from .report import write_rows_csv
 
 GAP_TARGET = 1e-6
 FLOW_LIMIT_GAP = 1e-10
-
-# Relative eigenvalue cutoff separating the zero modes of X X^T.
-_EIG_CUTOFF = 1e-12
 
 # Enumeration guard for the minimal-L1 oracle.
 _MAX_L1_DIM = 16
@@ -97,7 +94,7 @@ def pl_constant(loss: QuadraticLoss) -> float:
     w_max = w[-1] if w.size else 0.0
     if w_max <= 0.0:
         raise ValueError("design matrix is identically zero")
-    nonzero = w[w > _EIG_CUTOFF * w_max]
+    nonzero = w[w > EIG_CUTOFF * w_max]
     return float(2.0 * nonzero[0])
 
 

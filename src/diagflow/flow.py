@@ -17,7 +17,7 @@ snapshot decimation), together with theta and the loss value per snapshot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,78 +109,49 @@ class Trajectory:
     def final_theta(self) -> np.ndarray:
         return self.thetas[-1]
 
-    def write_csv(self, path, include_layers: bool = False) -> None:
-        write_trajectory_csv(self, path, include_layers=include_layers)
+
+def _product(y: np.ndarray) -> np.ndarray:
+    return np.prod(y, axis=0)
+
+
+def _layer_velocity(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return -leave_one_out_products(y) * g
 
 
 def layer_rhs(stack: LayerStack, loss) -> np.ndarray:
     """Right-hand side of the layer dynamic, one row per layer."""
-    g = loss.gradient(np.prod(stack.layers, axis=0))
-    return -leave_one_out_products(stack.layers) * g
+    return _layer_velocity(stack.layers, loss.gradient(_product(stack.layers)))
 
 
 def theta_rhs(stack: LayerStack, loss) -> np.ndarray:
     """Velocity of theta: minus the mobility diagonal times the gradient."""
     loo = leave_one_out_products(stack.layers)
     m = np.sum(loo * loo, axis=0)
-    return -m * loss.gradient(np.prod(stack.layers, axis=0))
+    return -m * loss.gradient(_product(stack.layers))
 
 
-def _eval_point(y: np.ndarray, loss) -> tuple[np.ndarray, float, np.ndarray]:
-    """theta, loss value and gradient at a grid point."""
-    theta = np.prod(y, axis=0)
+def _value_and_gradient(loss, theta: np.ndarray) -> tuple[float, np.ndarray]:
     vg = getattr(loss, "value_and_gradient", None)
     if vg is not None:
-        val, g = vg(theta)
-    else:
-        val, g = loss.value(theta), loss.gradient(theta)
-    return theta, val, g
+        return vg(theta)
+    return loss.value(theta), loss.gradient(theta)
 
 
-def _guard(y: np.ndarray, theta: np.ndarray, t: float) -> None:
+def _guard(y: np.ndarray, theta: np.ndarray, t: float, positive: bool) -> None:
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(theta))):
         raise DivergenceError(t, f"non-finite state at t={t:.6g}; reduce the step size")
     if np.max(np.abs(theta)) > DIVERGENCE_LIMIT:
         raise DivergenceError(t)
+    if positive and np.any(y <= 0):
+        raise DivergenceError(t, f"state left the positive orthant at t={t:.6g}; reduce the step size")
 
 
 def _decimate(arrays: list[np.ndarray], max_points: int) -> list[np.ndarray]:
     k = arrays[0].shape[0]
     if k <= max_points:
         return arrays
-    stride = math.ceil(k / (max_points - 1))
-    idx = list(range(0, k, stride))
-    if idx[-1] != k - 1:
-        idx.append(k - 1)
+    idx = sorted({*range(0, k, math.ceil(k / (max_points - 1))), k - 1})
     return [a[idx] for a in arrays]
-
-
-class _Recorder:
-    def __init__(self, loss):
-        self.loss = loss
-        self.times: list[float] = []
-        self.snaps: list[np.ndarray] = []
-        self.thetas: list[np.ndarray] = []
-        self.xis: list[np.ndarray] = []
-        self.losses: list[float] = []
-
-    def add(self, t, y, theta, val, xi):
-        self.times.append(t)
-        self.snaps.append(y.copy())
-        self.thetas.append(theta)
-        self.xis.append(xi.copy())
-        self.losses.append(val)
-
-    def finish(self, max_points: int) -> Trajectory:
-        arrays = [
-            np.asarray(self.times),
-            np.asarray(self.snaps),
-            np.asarray(self.thetas),
-            np.asarray(self.xis),
-            np.asarray(self.losses),
-        ]
-        times, snaps, thetas, xis, losses = _decimate(arrays, max_points)
-        return Trajectory(times, snaps, thetas, xis, losses, loss=self.loss)
 
 
 def integrate(stack0: LayerStack, loss, ctrl: StepController) -> Trajectory:
@@ -193,15 +164,7 @@ def integrate(stack0: LayerStack, loss, ctrl: StepController) -> Trajectory:
     Raises ``DivergenceError`` when the state leaves the finite region and,
     in adaptive mode, ``StepUnderflowError`` when no acceptable step exists.
     """
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        theta = np.prod(y, axis=0)
-        return -leave_one_out_products(y) * loss.gradient(theta)
-
-    def rhs_from_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return -leave_one_out_products(y) * g
-
-    return _drive(stack0.layers, loss, ctrl, rhs, rhs_from_grad, _eval_point)
+    return _drive(stack0.layers, loss, ctrl, theta_of=_product, velocity=_layer_velocity)
 
 
 def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepController) -> Trajectory:
@@ -219,30 +182,12 @@ def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepControl
     if u0.ndim != 1 or not np.all(u0 > 0):
         raise ValueError("u0 must be a strictly positive vector")
     L = num_layers
-
-    def eval_point(y, loss_):
-        tiled = np.broadcast_to(y[0], (L, y.shape[1]))
-        theta = np.prod(tiled, axis=0)
-        vg = getattr(loss_, "value_and_gradient", None)
-        if vg is not None:
-            val, g = vg(theta)
-        else:
-            val, g = loss_.value(theta), loss_.gradient(theta)
-        return theta, val, g
-
-    def rhs(y):
-        u = y[0]
-        g = loss.gradient(u ** L)
-        return (-L * u ** (L - 1) * g)[None, :]
-
-    def rhs_from_grad(y, g):
-        return (-L * y[0] ** (L - 1) * g)[None, :]
-
-    traj = _drive(u0[None, :], loss, ctrl, rhs, rhs_from_grad, eval_point,
+    # the state is the one row u; theta is the product of its L copies
+    traj = _drive(u0[None, :], loss, ctrl,
+                  theta_of=lambda y: y.repeat(L, axis=0).prod(axis=0),
+                  velocity=lambda y, g: -L * y ** (L - 1) * g,
                   positive=True)
-    snaps = np.repeat(traj.layers, L, axis=1)
-    thetas = np.prod(snaps, axis=1)
-    return Trajectory(traj.times, snaps, thetas, traj.xi, traj.losses, loss=loss)
+    return replace(traj, layers=np.repeat(traj.layers, L, axis=1))
 
 
 def _rk4_step(y, h, k1, rhs):
@@ -252,86 +197,58 @@ def _rk4_step(y, h, k1, rhs):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _drive(y0, loss, ctrl, rhs, rhs_from_grad, eval_point, positive=False):
+def _doubling_step(y, h, k1, rhs, ctrl):
+    """Two RK4 half steps, and their error ratio against one full step."""
+    big = _rk4_step(y, h, k1, rhs)
+    mid = _rk4_step(y, 0.5 * h, k1, rhs)
+    half = _rk4_step(mid, 0.5 * h, rhs(mid), rhs)
+    delta = (half - big) / 15.0
+    scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(y), np.abs(half))
+    ratio = float(np.max(np.abs(delta) / scale))
+    return half, (ratio if np.isfinite(ratio) else np.inf)
+
+
+def _drive(y0, loss, ctrl, theta_of, velocity, positive=False):
+    """Integrate ``dy/dt = velocity(y, grad L(theta_of(y)))`` under ``ctrl``.
+
+    Fixed mode accepts every RK4 step; adaptive mode proposes step-doubling
+    steps, accepts those within tolerance, and rescales ``h`` after each.
+    """
+
+    def rhs(y):
+        return velocity(y, loss.gradient(theta_of(y)))
+
+    adaptive = ctrl.mode == "adaptive"
+    t, h, t_end = 0.0, ctrl.h, ctrl.t_max
     y = np.array(y0, dtype=float)
-    t = 0.0
+    theta = theta_of(y)
+    val, g = _value_and_gradient(loss, theta)
     xi = np.zeros(y.shape[1])
-    theta, val, g = eval_point(y, loss)
-    rec = _Recorder(loss)
-    rec.add(t, y, theta, val, xi)
-    t_end = ctrl.t_max
-    stop_gap = ctrl.stop_gap
+    columns = ([t], [y], [theta], [xi], [val])  # the Trajectory fields, per step
     optimum = getattr(loss, "optimal_value", 0.0)
-
-    if ctrl.mode == "fixed":
-        h = ctrl.h
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while t < t_end - 1e-12 * t_end:
-            h_k = min(h, t_end - t)
-            with np.errstate(over="ignore", invalid="ignore"):
-                k1 = rhs_from_grad(y, g)
-                y = _rk4_step(y, h_k, k1, rhs)
-                t += h_k
-                theta, val, g_new = eval_point(y, loss)
-            _guard(y, theta, t)
-            if positive and np.any(y <= 0):
-                raise DivergenceError(t, f"state left the positive orthant at t={t:.6g}; reduce the step size")
-            xi = xi - (0.5 * h_k) * (g + g_new)
-            g = g_new
-            rec.add(t, y, theta, val, xi)
-            if stop_gap is not None and val - optimum <= stop_gap:
-                break
-        return rec.finish(ctrl.max_points)
-
-    # adaptive: step doubling with a 4th-order error estimate
-    h = ctrl.h
-    while t < t_end - 1e-12 * t_end:
-        h = min(h, t_end - t)
-        k1 = rhs_from_grad(y, g)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            big = _rk4_step(y, h, k1, rhs)
-            mid = _rk4_step(y, 0.5 * h, k1, rhs)
-            half = _rk4_step(mid, 0.5 * h, rhs(mid), rhs)
-            delta = (half - big) / 15.0
-            scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(y), np.abs(half))
-            ratio = float(np.max(np.abs(delta) / scale))
-        if not np.isfinite(ratio):
-            ratio = np.inf
-        if ratio <= 1.0:
-            y = half
-            t_new = t + h
-            theta, val, g_new = eval_point(y, loss)
-            _guard(y, theta, t_new)
-            if positive and np.any(y <= 0):
-                raise DivergenceError(t_new, f"state left the positive orthant at t={t_new:.6g}")
-            xi = xi - (0.5 * h) * (g + g_new)
-            g = g_new
-            t = t_new
-            rec.add(t, y, theta, val, xi)
-            if stop_gap is not None and val - optimum <= stop_gap:
-                break
-        factor = 5.0 if ratio == 0.0 else 0.9 * ratio ** -0.2
-        h *= min(max(factor, 0.2), 5.0)
-        if h < _MIN_STEP_FRACTION * max(t, 1.0):
-            raise StepUnderflowError(t)
-    return rec.finish(ctrl.max_points)
-
-
-def write_trajectory_csv(traj: Trajectory, path, include_layers: bool = False) -> None:
-    """Write ``t,loss,theta_1..theta_d,xi_1..xi_d[,u_j_i...]`` as UTF-8 CSV."""
-    d = traj.dim
-    cols = ["t", "loss"]
-    cols += [f"theta_{i}" for i in range(1, d + 1)]
-    cols += [f"xi_{i}" for i in range(1, d + 1)]
-    if include_layers:
-        cols += [
-            f"u_{j}_{i}"
-            for j in range(1, traj.num_layers + 1)
-            for i in range(1, d + 1)
-        ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(traj)):
-            row = [traj.times[k], traj.losses[k], *traj.thetas[k], *traj.xi[k]]
-            if include_layers:
-                row.extend(traj.layers[k].reshape(-1))
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            h = min(h, t_end - t)
+            k1 = velocity(y, g)
+            if adaptive:
+                y_new, ratio = _doubling_step(y, h, k1, rhs, ctrl)
+            else:
+                y_new, ratio = _rk4_step(y, h, k1, rhs), 0.0
+            if ratio <= 1.0:
+                y, t = y_new, t + h
+                theta = theta_of(y)
+                val, g_new = _value_and_gradient(loss, theta)
+                _guard(y, theta, t, positive)
+                xi = xi - (0.5 * h) * (g + g_new)
+                g = g_new
+                for column, v in zip(columns, (t, y, theta, xi, val)):
+                    column.append(v)
+                if ctrl.stop_gap is not None and val - optimum <= ctrl.stop_gap:
+                    break
+            if adaptive:
+                factor = 5.0 if ratio == 0.0 else 0.9 * ratio ** -0.2
+                h *= min(max(factor, 0.2), 5.0)
+                if h < _MIN_STEP_FRACTION * max(t, 1.0):
+                    raise StepUnderflowError(t)
+    arrays = [np.asarray(column) for column in columns]
+    return Trajectory(*_decimate(arrays, ctrl.max_points), loss=loss)

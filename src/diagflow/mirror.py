@@ -103,24 +103,24 @@ class PowerEntropy:
         L = self.num_layers
         return float(L * (L - 2))
 
-    def theta_from_xi(self, xi):
+    def _base(self, xi):
         L = self.num_layers
         base = self.u0 ** (-(L - 2)) - L * (L - 2) * np.asarray(xi)
         if np.any(base <= 0):
             raise ValueError("xi outside the map's domain (theta would leave the positive orthant)")
-        return base ** (-L / (L - 2))
+        return base
+
+    def theta_from_xi(self, xi):
+        L = self.num_layers
+        return self._base(xi) ** (-L / (L - 2))
 
     def xi_from_theta(self, theta):
-        theta = self._check_positive(theta)
         L = self.num_layers
-        return (self.u0 ** (-(L - 2)) - theta ** (-(L - 2) / L)) / (L * (L - 2))
+        return self.grad(theta) / (L * (L - 2))
 
     def dtheta_dxi(self, xi):
         L = self.num_layers
-        base = self.u0 ** (-(L - 2)) - L * (L - 2) * np.asarray(xi)
-        if np.any(base <= 0):
-            raise ValueError("xi outside the map's domain")
-        return L ** 2 * base ** (-(2 * L - 2) / (L - 2))
+        return L ** 2 * self._base(xi) ** (-(2 * L - 2) / (L - 2))
 
     def grad(self, theta):
         theta = self._check_positive(theta)
@@ -202,10 +202,6 @@ def mirror_residual_general(traj: Trajectory) -> float:
         - (hp ** 2)[:, None] * th[:-2]
     )
     dtheta = num / (hm * hp * (hm + hp))[:, None]
-    loss = traj.loss
-    if hasattr(loss, "X") and hasattr(loss, "y"):
-        grads = 2.0 * (th[1:-1] @ loss.X.T - loss.y) @ loss.X
-    else:
-        grads = np.array([loss.gradient(th[k]) for k in range(1, len(traj) - 1)])
+    grads = np.array([traj.loss.gradient(theta) for theta in th[1:-1]])
     res = dtheta / m[1:-1] + grads
     return float(np.max(np.abs(res)))

@@ -5,9 +5,16 @@ The model is linear in the inputs with coefficient vector
 ``u^j`` is one trainable layer vector of the network. ``LayerStack`` holds
 the layers, ``QuadraticLoss`` the data-fitting objective.
 
-Everything downstream touches a loss only through ``value``, ``gradient``
-and ``optimal_value``, so the quadratic instance can be replaced by any
-smooth objective exposing those three members.
+The flow, the diagnostics and the rate checks use a loss through a small
+protocol, so the quadratic instance can be replaced by any smooth objective
+that has
+
+* ``value(theta)`` and ``gradient(theta)`` (required);
+* ``value_and_gradient(theta)``, used instead of the two calls when present;
+* ``optimal_value``, the infimum of the loss (optional, defaults to 0).
+
+Only the solvers that need the design matrix (``pl_constant``,
+``solve_kkt``, ``run_bias``) require a ``QuadraticLoss``.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Relative eigenvalue cutoff used when solving the normal equations for the
-# least-squares optimum cached on QuadraticLoss.
+# Relative eigenvalue cutoff separating zero modes: of X^T X for the
+# least-squares optimum cached on QuadraticLoss, and of X X^T for the
+# gradient-dominance constant.
 EIG_CUTOFF = 1e-12
 
 
@@ -62,10 +70,6 @@ class LayerStack:
             raise ValueError("layer weights must be finite")
         layers.setflags(write=False)
         object.__setattr__(self, "layers", layers)
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "LayerStack":
-        return cls(np.array([np.asarray(v, dtype=float) for v in vectors]))
 
     @property
     def num_layers(self) -> int:

@@ -70,11 +70,7 @@ def theta_of_flat(fp: FlatParams) -> np.ndarray:
 def coordinate_gradient(fp: FlatParams, i: int) -> np.ndarray:
     """Gradient of output coordinate i; supported on block i only."""
     fp._check_coordinate(i)
-    out = np.zeros_like(fp.w)
-    block = fp.blocks[i]
-    loo = leave_one_out_products(block[:, None])[:, 0]
-    out[i * fp.num_layers : (i + 1) * fp.num_layers] = loo
-    return out
+    return jacobian(fp)[i]
 
 
 def coordinate_hessian(fp: FlatParams, i: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Diagnostics assembly and CSV output.
 
 The diagnostics file is a single flat CSV with columns
-``section,metric,value``; numeric values are printed with ``%.17g`` so
+``section,metric,value``. Every CSV of the package, trajectories included,
+goes through ``write_rows_csv``, which prints numbers with ``%.17g`` so
 repeated runs are byte-identical.
 """
 
@@ -9,26 +10,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import conservation as cons
 from . import mirror as mir
 from . import paramcheck as pc
 from .flow import Trajectory
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def write_rows_csv(path, header, rows) -> None:
-    """Write rows of mixed int/float cells as UTF-8 CSV with %.17g floats."""
+    """Write rows as UTF-8 CSV: text cells as they are, numbers with %.17g.
+
+    The first row's cell types fix the format of every row.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
+        line = None
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            if line is None:
+                line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row) + "\n"
+            fh.write(line % tuple(row))
+
+
+def write_trajectory_csv(traj: Trajectory, path, include_layers: bool = False) -> None:
+    """Write ``t,loss,theta_1..theta_d,xi_1..xi_d[,u_j_i...]`` as UTF-8 CSV."""
+    coords = range(1, traj.dim + 1)
+    cols = ["t", "loss", *(f"theta_{i}" for i in coords), *(f"xi_{i}" for i in coords)]
+    layers = traj.layers.reshape(len(traj), -1)
+    if include_layers:
+        cols += [f"u_{j}_{i}" for j in range(1, traj.num_layers + 1) for i in coords]
+    else:
+        layers = layers[:, :0]
+    rows = zip(traj.times, traj.losses, traj.thetas, traj.xi, layers)
+    write_rows_csv(path, cols, ((t, v, *th, *x, *u) for t, v, th, x, u in rows))
 
 
 @dataclass(frozen=True, eq=False)

@@ -120,3 +120,27 @@ def test_explicit_scheme_requires_file():
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--init-scheme", "explicit"])
     assert err.value.code == 2
+
+
+def test_init_file_errors_are_usage_errors(tmp_path, capsys):
+    flags = ["simulate", "--layers", "2", "--dim", "2", "--init-scheme", "explicit"]
+    with pytest.raises(SystemExit) as err:
+        main([*flags, "--init-file", str(tmp_path / "missing.txt")])
+    assert err.value.code == 2
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("0.2 x\n0.5 0.8\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main([*flags, "--init-file", str(malformed)])
+    assert err.value.code == 2
+    assert "--init-file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--output", "--diagnostics"])
+def test_unwritable_output_exits_one(tmp_path, capsys, flag):
+    target = tmp_path / "no_such_dir" / "out.csv"
+    code = main(["simulate", "--layers", "2", "--dim", "2", "--samples", "3",
+                 "--tmax", "0.1", flag, str(target)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "no_such_dir" in err

@@ -13,6 +13,7 @@ from diagflow import (
     integrate_redundant,
     layer_rhs,
     make_problem,
+    mirror_residual_general,
     theta_rhs,
     write_trajectory_csv,
 )
@@ -280,6 +281,34 @@ def test_integrate_accepts_any_value_gradient_pair():
     assert traj.losses[-1] < traj.losses[0]
     assert np.all(np.diff(traj.losses) <= 1e-10)
     assert np.array_equal(traj.xi[0], np.zeros(2))
+
+
+def test_quartic_loss_through_general_mirror_residual():
+    # a duck-typed loss reaches the residual only through its gradient
+    stack0 = LayerStack([[0.8, -0.5, 0.7], [0.6, 0.9, -0.7], [0.9, 0.6, 0.8]])
+    r1, r2 = (
+        mirror_residual_general(integrate(
+            stack0, _QuarticLoss(), StepController(h=h, t_max=1.0, max_points=10**6)))
+        for h in (1e-3, 5e-4)
+    )
+    assert r1 <= 1e-4
+    assert 3.2 <= r1 / r2 <= 4.8
+
+
+@pytest.mark.parametrize("num_layers", [3, 4, 5])
+def test_tied_flow_matches_untied_flow_on_tied_layers(num_layers):
+    # L equal layers stay equal and move L times slower than the tied u,
+    # so the tied flow at (h, T) is the untied flow at (L*h, L*T)
+    L = num_layers
+    loss = make_problem(4, 3, 22, positive=True)
+    u0 = np.array([0.8, 1.1, 0.9])
+    tied = integrate_redundant(u0, L, loss, StepController(h=1e-3, t_max=1.0))
+    untied = integrate(LayerStack(np.tile(u0, (L, 1))), loss,
+                       StepController(h=L * 1e-3, t_max=L * 1.0))
+    assert len(tied) == len(untied)
+    np.testing.assert_allclose(tied.thetas, untied.thetas, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tied.layers, untied.layers, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(L * tied.xi, untied.xi, rtol=0, atol=1e-12)
 
 
 def test_redundant_flow_validation():
