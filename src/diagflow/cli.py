@@ -6,10 +6,18 @@ Subcommands: ``simulate`` (one flow run, full trajectory dump),
 ``bias`` (flow limit against the constrained-entropy solution), and
 ``paramcheck`` (certification table for the flattened product map).
 
+Each subcommand accepts only the flags it reads: ``simulate``,
+``crossings`` and ``convergence`` take the layer, size, flow and init
+flags; ``bias`` the size and flow flags; ``paramcheck`` the layer and size
+flags. ``--init-scheme explicit`` and ``--init-file`` go together. A
+``--config`` file holds ``key = value`` lines that are the command's flags
+(``init_scale = 1.4`` is ``--init-scale=1.4``), parsed like the command
+line; explicit flags win, and a key the command does not take, ``config``
+included, is a usage error.
+
 Exit codes: 0 when every check passes, 1 on a check or numerical failure
 or an unwritable output file, 2 on usage errors (an unreadable config or
-init file included). An optional ``key = value`` config file supplies flag
-defaults; explicit flags win.
+init file and out-of-range values included).
 """
 
 from __future__ import annotations
@@ -40,63 +48,63 @@ RECONSTRUCTION_TOL = 1e-6
 BIAS_MISMATCH_TOL = 1e-3
 COUNTEREXAMPLE_MIN_DEFECT = 1e-3
 
+# Per-command overrides of the ExperimentConfig defaults.
 _DEFAULTS = {
-    "simulate": dict(layers=3, dim=5, samples=8, seed=0, tmax=10.0, step=1e-3,
-                     init_scheme="uniform", init_scale=1.0),
-    "crossings": dict(layers=4, dim=5, samples=10, seed=0, tmax=10.0, step=1e-3,
-                      init_scheme="uniform", init_scale=1.0),
-    "convergence": dict(layers=6, dim=8, samples=10, seed=0, tmax=400.0, step=1e-3,
-                        init_scheme="zero_first", init_scale=1.0),
-    "bias": dict(layers=2, dim=6, samples=3, seed=0, tmax=1e4, step=1e-3,
-                 init_scheme="zero_first", init_scale=1.0),
-    "paramcheck": dict(layers=4, dim=3, samples=100, seed=0, tmax=1.0, step=1e-3,
-                       init_scheme="uniform", init_scale=1.0),
+    "simulate": dict(layers=3, n=8),
+    "crossings": {},
+    "convergence": dict(layers=6, dim=8, t_max=400.0, scheme="zero_first"),
+    "bias": dict(dim=6, n=3, t_max=1e4),
+    "paramcheck": dict(dim=3, n=100),
 }
-
-_INT_KEYS = ("layers", "dim", "samples", "seed")
-_FLOAT_KEYS = ("tmax", "step", "init_scale")
-_STR_KEYS = ("init_scheme", "init_file", "output", "diagnostics")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--layers", type=int, default=None, help="number of layers L")
-    common.add_argument("--dim", type=int, default=None, help="coordinate dimension d")
-    common.add_argument("--samples", type=int, default=None,
-                        help="data rows n (paramcheck: number of random samples)")
-    common.add_argument("--seed", type=int, default=None, help="random seed")
-    common.add_argument("--tmax", type=float, default=None, help="flow horizon")
-    common.add_argument("--step", type=float, default=None, help="integrator step")
-    common.add_argument("--init-scheme", default=None,
-                        choices=list(InitScheme.KINDS),
-                        help="initialization scheme")
-    common.add_argument("--init-scale", type=float, default=None,
-                        help="initialization scale factor")
-    common.add_argument("--init-file", default=None,
-                        help="text file of explicit weights, one row per layer")
-    common.add_argument("--output", default=None, help="CSV output path")
-    common.add_argument("--diagnostics", default=None, help="diagnostics CSV path")
-    common.add_argument("--config", default=None,
-                        help="'key = value' file supplying flag defaults")
+    """One subparser per command; flag dests are ExperimentConfig fields."""
+    def group() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+
+    layers = group()
+    layers.add_argument("--layers", type=int, help="number of layers L")
+    size = group()
+    size.add_argument("--dim", type=int, help="coordinate dimension d")
+    size.add_argument("--samples", dest="n", metavar="SAMPLES", type=int,
+                      help="data rows n (paramcheck: number of random samples)")
+    size.add_argument("--seed", type=int, help="random seed")
+    size.add_argument("--config", help="'key = value' file of flags; explicit flags win")
+    flow = group()
+    flow.add_argument("--tmax", dest="t_max", metavar="TMAX", type=float, help="flow horizon")
+    flow.add_argument("--step", type=float, help="integrator step")
+    flow.add_argument("--output", help="CSV output path")
+    flow.add_argument("--diagnostics", help="diagnostics CSV path")
+    init = group()
+    init.add_argument("--init-scheme", dest="scheme", choices=list(InitScheme.KINDS),
+                      help="initialization scheme")
+    init.add_argument("--init-scale", dest="scale", metavar="INIT_SCALE", type=float,
+                      help="initialization scale factor")
+    init.add_argument("--init-file",
+                      help="text file of explicit weights, one row per layer "
+                           "(goes with --init-scheme explicit)")
 
     parser = argparse.ArgumentParser(
         prog="diagflow",
         description="Gradient-flow laboratory for deep diagonal linear networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in [
-        ("simulate", "integrate one flow run and dump the trajectory"),
-        ("crossings", "node trajectories and sign census"),
-        ("convergence", "exponential rate-bound check"),
-        ("bias", "flow limit vs constrained-entropy solution"),
-        ("paramcheck", "certify the flattened product parameterization"),
+    flow_run = [layers, size, flow, init]
+    for name, parents, text in [
+        ("simulate", flow_run, "integrate one flow run and dump the trajectory"),
+        ("crossings", flow_run, "node trajectories and sign census"),
+        ("convergence", flow_run, "exponential rate-bound check"),
+        ("bias", [size, flow], "flow limit vs constrained-entropy solution"),
+        ("paramcheck", [layers, size], "certify the flattened product parameterization"),
     ]:
-        sub.add_parser(name, parents=[common], help=text)
+        sub.add_parser(name, parents=parents, help=text)
     return parser
 
 
-def _load_config(path: str) -> dict:
-    opts = {}
+def _load_config(path: str) -> list[str]:
+    """Read a ``key = value`` file as ``--key=value`` flags."""
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -105,57 +113,43 @@ def _load_config(path: str) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-            opts[key.strip().replace("-", "_")] = value.strip()
-    return opts
+            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Merge flags over config-file values over per-command defaults."""
-    merged = dict(_DEFAULTS[args.command])
-    merged.update({k: None for k in ("init_file", "output", "diagnostics")})
-    if args.config:
+def _parse(parser: argparse.ArgumentParser, argv) -> tuple[str, ExperimentConfig, str | None]:
+    """Command, its configuration and its diagnostics path; usage errors exit 2.
+
+    Config-file flags are parsed like command-line flags, and explicit
+    flags win over them; unset values fall back to ``_DEFAULTS`` and then to
+    the ``ExperimentConfig`` defaults, which also check the ranges.
+    """
+    args = vars(parser.parse_args(argv))
+    if "config" in args:
         try:
-            raw = _load_config(args.config)
+            file_flags = _load_config(args["config"])
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
-        for key, text in raw.items():
-            try:
-                if key in _INT_KEYS:
-                    merged[key] = int(text)
-                elif key in _FLOAT_KEYS:
-                    merged[key] = float(text)
-                elif key in _STR_KEYS:
-                    merged[key] = text
-                else:
-                    raise ValueError(f"unknown config key {key!r}")
-            except ValueError as exc:
-                parser.error(f"{args.config}: {exc}")
-    for key in (*_INT_KEYS, *_FLOAT_KEYS, *_STR_KEYS):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-
-    if merged["layers"] < 2:
-        parser.error("--layers must be at least 2")
-    if merged["dim"] < 1 or merged["samples"] < 1:
-        parser.error("--dim and --samples must be at least 1")
-    if merged["tmax"] <= 0 or merged["step"] <= 0:
-        parser.error("--tmax and --step must be positive")
-    if merged["init_scheme"] == "explicit" and not merged["init_file"]:
-        parser.error("--init-scheme explicit requires --init-file")
-    return merged
-
-
-def _experiment_config(opts: dict) -> ExperimentConfig:
-    values = None
-    if opts["init_file"]:
-        values = np.loadtxt(opts["init_file"], ndmin=2)
-    return ExperimentConfig(
-        n=opts["samples"], dim=opts["dim"], layers=opts["layers"],
-        seed=opts["seed"], t_max=opts["tmax"], step=opts["step"],
-        scheme=opts["init_scheme"], scale=opts["init_scale"], values=values,
-        output=opts["output"], diagnostics=opts["diagnostics"],
-    )
+        file_args = vars(parser.parse_args([args["command"], *file_flags]))
+        if "config" in file_args:
+            parser.error(f"{args['config']}: a config file cannot name another one")
+        args = {**file_args, **args}
+    opts = {**_DEFAULTS[args["command"]], **args}
+    command = opts.pop("command")
+    opts.pop("config", None)
+    diagnostics = opts.pop("diagnostics", None)
+    init_file = opts.pop("init_file", None)
+    if (opts.get("scheme") == "explicit") != (init_file is not None):
+        parser.error("--init-scheme explicit and --init-file must be given together")
+    if init_file is not None:
+        try:
+            opts["values"] = np.loadtxt(init_file, ndmin=2)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read --init-file: {exc}")
+    try:
+        return command, ExperimentConfig(**opts), diagnostics
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _print_table(rows: list[tuple[str, str, bool | None]]) -> bool:
@@ -169,7 +163,7 @@ def _print_table(rows: list[tuple[str, str, bool | None]]) -> bool:
     return ok_all
 
 
-def _cmd_simulate(cfg: ExperimentConfig) -> int:
+def _cmd_simulate(cfg: ExperimentConfig, diagnostics: str | None) -> int:
     loss = make_problem(cfg.n, cfg.dim, cfg.seed)
     stack0 = init_layers(cfg.dim, cfg.layers, cfg.init_scheme(), seed=cfg.seed + 1)
     idx = locate_min_layers(stack0)
@@ -178,8 +172,8 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.output:
         write_trajectory_csv(traj, cfg.output, include_layers=True)
     diag = build_diagnostics(traj, idx=idx)
-    if cfg.diagnostics:
-        diag.write(cfg.diagnostics)
+    if diagnostics:
+        diag.write(diagnostics)
 
     defect = diag.value("conservation", "max_defect")
     rows = [
@@ -198,10 +192,10 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0 if _print_table(rows) else 1
 
 
-def _cmd_crossings(cfg: ExperimentConfig) -> int:
+def _cmd_crossings(cfg: ExperimentConfig, diagnostics: str | None) -> int:
     result = run_crossings(cfg)
-    if cfg.diagnostics:
-        build_diagnostics(result.trajectory, idx=result.index).write(cfg.diagnostics)
+    if diagnostics:
+        build_diagnostics(result.trajectory, idx=result.index).write(diagnostics)
     flagged = int(result.census.flagged.sum())
     rows = [
         ("nodes that crossed or touched zero", str(flagged), None),
@@ -210,11 +204,11 @@ def _cmd_crossings(cfg: ExperimentConfig) -> int:
     return 0 if _print_table(rows) else 1
 
 
-def _cmd_convergence(cfg: ExperimentConfig) -> int:
+def _cmd_convergence(cfg: ExperimentConfig, diagnostics: str | None) -> int:
     result = run_convergence(cfg)
-    if cfg.diagnostics:
+    if diagnostics:
         idx = locate_min_layers(result.trajectory.stack_at(0))
-        build_diagnostics(result.trajectory, idx=idx, rate=result.rate).write(cfg.diagnostics)
+        build_diagnostics(result.trajectory, idx=idx, rate=result.rate).write(diagnostics)
     ttg = result.time_to_target
     rows = [
         ("sigma lower bound", f"{result.sigma.sigma:.6g}", None),
@@ -225,11 +219,11 @@ def _cmd_convergence(cfg: ExperimentConfig) -> int:
     return 0 if _print_table(rows) else 1
 
 
-def _cmd_bias(cfg: ExperimentConfig) -> int:
+def _cmd_bias(cfg: ExperimentConfig, diagnostics: str | None) -> int:
     result = run_bias(cfg)
-    if cfg.diagnostics:
+    if diagnostics:
         last = result.rows[-1]
-        build_diagnostics(last.trajectory, entropy=last.entropy).write(cfg.diagnostics)
+        build_diagnostics(last.trajectory, entropy=last.entropy).write(diagnostics)
     rows = []
     for r in result.rows:
         rows.append((f"alpha={r.alpha:g} L1 excess", f"{r.l1_norm - r.l1_min:.6g}", None))
@@ -285,23 +279,13 @@ def _cmd_paramcheck(cfg: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    opts = _resolve(args, parser)
+    command, cfg, diagnostics = _parse(build_parser(), argv)
     try:
-        cfg = _experiment_config(opts)
-    except (OSError, ValueError) as exc:
-        parser.error(f"cannot read --init-file: {exc}")
-    try:
-        if args.command == "simulate":
-            return _cmd_simulate(cfg)
-        if args.command == "crossings":
-            return _cmd_crossings(cfg)
-        if args.command == "convergence":
-            return _cmd_convergence(cfg)
-        if args.command == "bias":
-            return _cmd_bias(cfg)
-        return _cmd_paramcheck(cfg)
+        if command == "paramcheck":
+            return _cmd_paramcheck(cfg)
+        run = {"simulate": _cmd_simulate, "crossings": _cmd_crossings,
+               "convergence": _cmd_convergence, "bias": _cmd_bias}[command]
+        return run(cfg, diagnostics)
     except (DivergenceError, StepUnderflowError, NewtonError, TiedMinimumError,
             np.linalg.LinAlgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,12 +20,13 @@ near-ties, which make the rate bound degenerate in practice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .flow import Trajectory
-from .model import LayerStack, leave_one_out_products
+from .model import LayerStack, mobility
 
 NEAR_TIE_RTOL = 1e-9
 
@@ -100,8 +101,11 @@ def conservation_defect(traj: Trajectory) -> np.ndarray:
         raise ValueError("trajectory is empty")
     sq = traj.layers ** 2
     drift = sq - sq[0]
-    diff = drift[:, :, None, :] - drift[:, None, :, :]
-    return np.max(np.abs(diff), axis=(0, 3))
+    # one pair at a time keeps the temporaries at (K, d), not (K, L, L, d)
+    defect = np.zeros((traj.num_layers, traj.num_layers))
+    for j, k in itertools.combinations(range(traj.num_layers), 2):
+        defect[j, k] = defect[k, j] = np.max(np.abs(drift[:, j] - drift[:, k]))
+    return defect
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +118,6 @@ class SignCensus:
     @property
     def ok(self) -> bool:
         return len(self.violations) == 0
-
-    def layers_for(self, coordinate: int) -> tuple:
-        return tuple(np.nonzero(self.flagged[:, coordinate])[0])
 
 
 def sign_census(traj: Trajectory, idx: MinLayerIndex) -> SignCensus:
@@ -188,7 +189,7 @@ def mobility_diagonal(stack: LayerStack) -> np.ndarray:
 
     Entry i is ``sum_j prod_{k != j} u^k_i**2``.
     """
-    return np.sum(leave_one_out_products(stack.layers ** 2), axis=0)
+    return mobility(stack.layers)
 
 
 def mobility_inverse_diagonal(stack: LayerStack) -> np.ndarray:

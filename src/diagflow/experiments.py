@@ -57,7 +57,6 @@ class ExperimentConfig:
     scale: float = 1.0
     values: np.ndarray | None = None
     output: str | None = None
-    diagnostics: str | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.dim < 1:
@@ -188,7 +187,7 @@ def convergence_scale_sweep(cfg: ExperimentConfig,
     """The same seed run at several initialization scales."""
     out = []
     for s in scales:
-        sub = replace(cfg, scale=float(s), output=None, diagnostics=None)
+        sub = replace(cfg, scale=float(s), output=None)
         out.append(run_convergence(sub, gap_target=gap_target))
     return out
 

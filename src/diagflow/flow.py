@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import LayerStack, leave_one_out_products
+from .model import LayerStack, leave_one_out_products, mobility
 
 # Abort threshold on |theta|_inf: gradient flow on a quadratic cannot
 # diverge, so crossing this signals discretization failure.
@@ -102,10 +102,6 @@ class Trajectory:
         return LayerStack(self.layers[k])
 
     @property
-    def final_stack(self) -> LayerStack:
-        return self.stack_at(len(self) - 1)
-
-    @property
     def final_theta(self) -> np.ndarray:
         return self.thetas[-1]
 
@@ -125,9 +121,7 @@ def layer_rhs(stack: LayerStack, loss) -> np.ndarray:
 
 def theta_rhs(stack: LayerStack, loss) -> np.ndarray:
     """Velocity of theta: minus the mobility diagonal times the gradient."""
-    loo = leave_one_out_products(stack.layers)
-    m = np.sum(loo * loo, axis=0)
-    return -m * loss.gradient(_product(stack.layers))
+    return -mobility(stack.layers) * loss.gradient(_product(stack.layers))
 
 
 def _value_and_gradient(loss, theta: np.ndarray) -> tuple[float, np.ndarray]:

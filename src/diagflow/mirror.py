@@ -22,7 +22,7 @@ import numpy as np
 
 from .conservation import SingularMobilityError
 from .flow import Trajectory
-from .model import leave_one_out_products
+from .model import mobility
 
 DELTA0_RTOL = 1e-12
 
@@ -191,7 +191,7 @@ def mirror_residual_general(traj: Trajectory) -> float:
         raise ValueError("need at least 3 grid points for central differences")
     t = traj.times
     th = traj.thetas
-    m = np.sum(leave_one_out_products(traj.layers ** 2, axis=1), axis=1)
+    m = mobility(traj.layers)
     if np.any(m[1:-1] == 0.0):
         raise SingularMobilityError("mobility diagonal vanishes at an interior grid point")
     hp = t[2:] - t[1:-1]

@@ -52,6 +52,15 @@ def leave_one_out_products(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return out
 
 
+def mobility(layers: np.ndarray) -> np.ndarray:
+    """Mobility diagonal ``sum_j prod_{k != j} (u^k)**2`` of ``(..., L, d)`` layers.
+
+    Theta's velocity along the flow is minus this diagonal times the loss
+    gradient.
+    """
+    return np.sum(leave_one_out_products(layers ** 2, axis=-2), axis=-2)
+
+
 @dataclass(frozen=True, eq=False)
 class LayerStack:
     """Weights of a deep diagonal linear network, one row per layer."""

@@ -101,6 +101,16 @@ def test_config_file_errors(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--config", str(unknown)])
     assert err.value.code == 2
+    not_read = tmp_path / "not_read.cfg"
+    not_read.write_text("layers = 3\n", encoding="utf-8")  # bias has no --layers
+    with pytest.raises(SystemExit) as err:
+        main(["bias", "--config", str(not_read)])
+    assert err.value.code == 2
+    nested = tmp_path / "nested.cfg"
+    nested.write_text(f"config = {not_read}\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--config", str(nested)])
+    assert err.value.code == 2
 
 
 def test_explicit_init_from_file(tmp_path, capsys):
@@ -144,3 +154,30 @@ def test_unwritable_output_exits_one(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "no_such_dir" in err
+
+
+def test_config_value_is_checked_like_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "bogus.cfg"
+    cfg.write_text("init_scheme = bogus\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--config", str(cfg)])
+    assert err.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_init_file_requires_explicit_scheme(tmp_path, capsys):
+    weights = tmp_path / "init.txt"
+    np.savetxt(weights, np.array([[0.2, 0.3], [0.5, 0.8]]))
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--layers", "2", "--dim", "2", "--init-file", str(weights)])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["bias", "--layers", "4"], ["paramcheck", "--output", "x.csv"]])
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,18 @@ def test_conservation_defect_zero_on_equilibrium():
     loss = QuadraticLoss(np.array([[1.0]]), np.array([6.0]))
     traj = integrate(LayerStack([[2.0], [3.0]]), loss, StepController(t_max=1.0))
     assert np.array_equal(conservation_defect(traj), np.zeros((2, 2)))
+
+
+def test_conservation_defect_known_pairwise_values():
+    # coordinate 1 drifts by (3, 0, 0) across the layers, coordinate 2 by (0, 8, 0)
+    layers = np.array([[[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]],
+                       [[2.0, 1.0], [2.0, 3.0], [3.0, 1.0]]])
+    traj = Trajectory(times=np.arange(2.0), layers=layers, thetas=layers.prod(axis=1),
+                      xi=np.zeros((2, 2)), losses=np.zeros(2))
+    expected = np.array([[0.0, 8.0, 3.0], [8.0, 0.0, 8.0], [3.0, 8.0, 0.0]])
+    assert np.array_equal(conservation_defect(traj), expected)
+    assert np.array_equal(conservation_defect(replace(traj, layers=layers[..., :1])),
+                          [[0.0, 3.0, 3.0], [3.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
 
 
 def test_conservation_defect_small_along_flow(deep_run):
