@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import paramcheck as pc
-from .conservation import TiedMinimumError, locate_min_layers
+from .conservation import SingularMobilityError, TiedMinimumError, locate_min_layers
 from .experiments import (
     ExperimentConfig,
     NewtonError,
@@ -186,7 +186,10 @@ def _cmd_simulate(cfg: ExperimentConfig, diagnostics: str | None) -> int:
         rec = diag.value("reconstruction", "max_error")
         rows.append(("sign census violations", str(census_viol), census_viol == 0))
         rows.append(("reconstruction max error", f"{rec:.3e}", rec <= RECONSTRUCTION_TOL))
-    rows.append(("mirror residual (general)", f"{diag.value('mirror', 'general_residual'):.3e}", None))
+    try:
+        rows.append(("mirror residual (general)", f"{diag.value('mirror', 'general_residual'):.3e}", None))
+    except KeyError:  # fewer than 3 snapshots: no central differences
+        pass
     on_manifold = bool(diag.value("manifold", "all_snapshots_on_manifold"))
     rows.append(("snapshots on manifold", str(on_manifold), on_manifold))
     return 0 if _print_table(rows) else 1
@@ -287,7 +290,7 @@ def main(argv=None) -> int:
                "convergence": _cmd_convergence, "bias": _cmd_bias}[command]
         return run(cfg, diagnostics)
     except (DivergenceError, StepUnderflowError, NewtonError, TiedMinimumError,
-            np.linalg.LinAlgError, ValueError, OSError) as exc:
+            SingularMobilityError, np.linalg.LinAlgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -120,11 +120,10 @@ def rate_check(traj: Trajectory, sigma: float, mu: float,
     gap reaches the rounding floor of the subtraction; it defaults to
     1e-12 times the loss scale and is far below any gap of interest.
     """
-    optimum = getattr(traj.loss, "optimal_value", 0.0)
-    gaps = traj.losses - optimum
+    gaps = traj.losses - traj.optimum
     gap0 = float(gaps[0])
     if atol is None:
-        atol = 1e-12 * max(float(traj.losses[0]), optimum, 1.0)
+        atol = 1e-12 * max(float(traj.losses[0]), traj.optimum, 1.0)
     bound = np.exp(-2.0 * sigma * mu * traj.times) * gap0
     violations = int(np.sum(gaps > bound + atol))
     return RateCheck(sigma=float(sigma), mu=float(mu), gap0=gap0,
@@ -133,8 +132,7 @@ def rate_check(traj: Trajectory, sigma: float, mu: float,
 
 def time_to_gap(traj: Trajectory, threshold: float) -> float | None:
     """First grid time whose suboptimality gap is at or below ``threshold``."""
-    optimum = getattr(traj.loss, "optimal_value", 0.0)
-    hit = np.nonzero(traj.losses - optimum <= threshold)[0]
+    hit = np.nonzero(traj.losses - traj.optimum <= threshold)[0]
     return float(traj.times[hit[0]]) if hit.size else None
 
 
@@ -172,7 +170,7 @@ def run_convergence(cfg: ExperimentConfig, gap_target: float = GAP_TARGET) -> Co
     rc = rate_check(traj, sigma.sigma, mu)
     ttg = time_to_gap(traj, gap_target)
     if cfg.output:
-        gaps = traj.losses - loss.optimal_value
+        gaps = traj.losses - traj.optimum
         bound = np.exp(-2.0 * sigma.sigma * mu * traj.times) * gaps[0]
         log_gap = np.log(np.maximum(gaps, 1e-300))
         rows = zip(traj.times, gaps, log_gap, bound)
@@ -420,7 +418,7 @@ def run_bias(cfg: ExperimentConfig, alphas=(1.0, 0.1, 0.01),
             linf_mismatch=mismatch,
             theta_flow=theta_flow,
             theta_kkt=sol.theta,
-            flow_gap=float(traj.losses[-1] - loss.optimal_value),
+            flow_gap=float(traj.losses[-1] - traj.optimum),
             trajectory=traj,
             entropy=entropy,
         ))

@@ -11,7 +11,8 @@ trajectory the accumulated dual variable
     xi(t) = -integral_0^t grad L(theta(s)) ds
 
 is built up by trapezoidal quadrature on the full step grid (before any
-snapshot decimation), together with theta and the loss value per snapshot.
+snapshot decimation), together with theta, the loss and its gradient per
+snapshot. Only this module calls the loss; the rest reads the ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -78,14 +79,16 @@ class StepController:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Recorded flow: times, layer snapshots, theta, dual variable, loss."""
+    """Recorded flow: per snapshot the time, layers, theta, dual variable xi,
+    loss and loss gradient; ``optimum`` is the loss's ``optimal_value`` or 0."""
 
     times: np.ndarray    # (K,)
     layers: np.ndarray   # (K, L, d)
     thetas: np.ndarray   # (K, d)
     xi: np.ndarray       # (K, d)
     losses: np.ndarray   # (K,)
-    loss: object = None  # objective the flow was run on
+    grads: np.ndarray    # (K, d)
+    optimum: float = 0.0
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -140,12 +143,11 @@ def _guard(y: np.ndarray, theta: np.ndarray, t: float, positive: bool) -> None:
         raise DivergenceError(t, f"state left the positive orthant at t={t:.6g}; reduce the step size")
 
 
-def _decimate(arrays: list[np.ndarray], max_points: int) -> list[np.ndarray]:
-    k = arrays[0].shape[0]
-    if k <= max_points:
-        return arrays
-    idx = sorted({*range(0, k, math.ceil(k / (max_points - 1))), k - 1})
-    return [a[idx] for a in arrays]
+def _decimate(columns: tuple[list, ...], max_points: int) -> list[np.ndarray]:
+    k = len(columns[0])
+    stride = math.ceil(k / (max_points - 1)) if k > max_points else 1
+    idx = sorted({*range(0, k, stride), k - 1})
+    return [np.array([column[i] for i in idx]) for column in columns]
 
 
 def integrate(stack0: LayerStack, loss, ctrl: StepController) -> Trajectory:
@@ -218,7 +220,7 @@ def _drive(y0, loss, ctrl, theta_of, velocity, positive=False):
     theta = theta_of(y)
     val, g = _value_and_gradient(loss, theta)
     xi = np.zeros(y.shape[1])
-    columns = ([t], [y], [theta], [xi], [val])  # the Trajectory fields, per step
+    columns = ([t], [y], [theta], [xi], [val], [g])  # the Trajectory rows, per step
     optimum = getattr(loss, "optimal_value", 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while t < t_end - 1e-12 * t_end:
@@ -235,7 +237,7 @@ def _drive(y0, loss, ctrl, theta_of, velocity, positive=False):
                 _guard(y, theta, t, positive)
                 xi = xi - (0.5 * h) * (g + g_new)
                 g = g_new
-                for column, v in zip(columns, (t, y, theta, xi, val)):
+                for column, v in zip(columns, (t, y, theta, xi, val, g)):
                     column.append(v)
                 if ctrl.stop_gap is not None and val - optimum <= ctrl.stop_gap:
                     break
@@ -244,5 +246,4 @@ def _drive(y0, loss, ctrl, theta_of, velocity, positive=False):
                 h *= min(max(factor, 0.2), 5.0)
                 if h < _MIN_STEP_FRACTION * max(t, 1.0):
                     raise StepUnderflowError(t)
-    arrays = [np.asarray(column) for column in columns]
-    return Trajectory(*_decimate(arrays, ctrl.max_points), loss=loss)
+    return Trajectory(*_decimate(columns, ctrl.max_points), optimum=optimum)

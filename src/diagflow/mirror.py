@@ -182,18 +182,18 @@ def mirror_residual_general(traj: Trajectory) -> float:
 
     Evaluates ``|d theta/dt / m(t) + grad L(theta(t))|_inf`` at interior grid
     points, with the time derivative by second-order (non-uniform) central
-    differences and ``m`` the mobility diagonal; certifying the identity
-    requires no knowledge of the entropy.
+    differences, ``m`` the mobility diagonal and the recorded ``traj.grads``;
+    certifying the identity requires no knowledge of the entropy or the loss.
     """
-    if traj.loss is None:
-        raise ValueError("trajectory carries no loss object")
     if len(traj) < 3:
         raise ValueError("need at least 3 grid points for central differences")
     t = traj.times
     th = traj.thetas
     m = mobility(traj.layers)
     if np.any(m[1:-1] == 0.0):
-        raise SingularMobilityError("mobility diagonal vanishes at an interior grid point")
+        raise SingularMobilityError(
+            "mobility diagonal vanishes: the mirror residual is undefined where two zero "
+            "nodes share a coordinate; use at most one zero node per coordinate")
     hp = t[2:] - t[1:-1]
     hm = t[1:-1] - t[:-2]
     num = (
@@ -202,6 +202,5 @@ def mirror_residual_general(traj: Trajectory) -> float:
         - (hp ** 2)[:, None] * th[:-2]
     )
     dtheta = num / (hm * hp * (hm + hp))[:, None]
-    grads = np.array([traj.loss.gradient(theta) for theta in th[1:-1]])
-    res = dtheta / m[1:-1] + grads
+    res = dtheta / m[1:-1] + traj.grads[1:-1]
     return float(np.max(np.abs(res)))

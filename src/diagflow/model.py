@@ -5,13 +5,16 @@ The model is linear in the inputs with coefficient vector
 ``u^j`` is one trainable layer vector of the network. ``LayerStack`` holds
 the layers, ``QuadraticLoss`` the data-fitting objective.
 
-The flow, the diagnostics and the rate checks use a loss through a small
-protocol, so the quadratic instance can be replaced by any smooth objective
-that has
+The flow uses a loss through a small protocol, so the quadratic instance
+can be replaced by any smooth objective that has
 
 * ``value(theta)`` and ``gradient(theta)`` (required);
 * ``value_and_gradient(theta)``, used instead of the two calls when present;
 * ``optimal_value``, the infimum of the loss (optional, defaults to 0).
+
+Only the flow calls the loss: it reads ``optimal_value`` once per run and
+records the value and gradient per snapshot on the ``Trajectory``, which
+the diagnostics and the rate checks read instead.
 
 Only the solvers that need the design matrix (``pl_constant``,
 ``solve_kkt``, ``run_bias``) require a ``QuadraticLoss``.

@@ -34,6 +34,30 @@ def test_simulate_divergence_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_shorter_than_three_snapshots(tmp_path, capsys):
+    # one step leaves 2 snapshots: too few for the general mirror residual
+    diag = tmp_path / "diag.csv"
+    assert main(["simulate", "--tmax", "0.01", "--step", "0.01", "--diagnostics", str(diag)]) == 0
+    out = capsys.readouterr().out
+    assert "conservation max defect" in out
+    assert "mirror residual" not in out
+    assert "general_residual" not in diag.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["crossings", "--diagnostics", "diag.csv"]])
+def test_vanishing_mobility_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys, argv):
+    # two zero layers: the mobility diagonal is zero in every coordinate
+    monkeypatch.chdir(tmp_path)
+    weights = tmp_path / "init.txt"
+    weights.write_text("0 0 0\n0 0 0\n0.5 1 2\n", encoding="utf-8")
+    code = main([*argv, "--layers", "3", "--dim", "3", "--tmax", "0.1",
+                 "--init-scheme", "explicit", "--init-file", str(weights)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "at most one zero node per coordinate" in err
+
+
 def test_crossings_writes_node_columns(tmp_path, capsys):
     out = tmp_path / "nodes.csv"
     code = main(["crossings", "--tmax", "3.0", "--seed", "2", "--output", str(out)])

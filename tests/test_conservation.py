@@ -73,6 +73,7 @@ def _single_point_trajectory(stack):
         thetas=stack.theta[None],
         xi=np.zeros((1, stack.dim)),
         losses=np.zeros(1),
+        grads=np.zeros((1, stack.dim)),
     )
 
 
@@ -93,7 +94,7 @@ def test_conservation_defect_known_pairwise_values():
     layers = np.array([[[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]],
                        [[2.0, 1.0], [2.0, 3.0], [3.0, 1.0]]])
     traj = Trajectory(times=np.arange(2.0), layers=layers, thetas=layers.prod(axis=1),
-                      xi=np.zeros((2, 2)), losses=np.zeros(2))
+                      xi=np.zeros((2, 2)), losses=np.zeros(2), grads=np.zeros((2, 2)))
     expected = np.array([[0.0, 8.0, 3.0], [8.0, 0.0, 8.0], [3.0, 8.0, 0.0]])
     assert np.array_equal(conservation_defect(traj), expected)
     assert np.array_equal(conservation_defect(replace(traj, layers=layers[..., :1])),

@@ -220,6 +220,28 @@ def test_snapshot_decimation_caps_points_but_not_xi_accuracy():
     assert thin.times[-1] == full.times[-1]
     # xi is accumulated on the full grid before decimation
     assert np.array_equal(thin.xi[-1], full.xi[-1])
+    # every kept snapshot is the full run's row at the same time
+    rows = np.searchsorted(full.times, thin.times)
+    for name in ("times", "layers", "thetas", "xi", "losses", "grads"):
+        assert np.array_equal(getattr(thin, name), getattr(full, name)[rows]), name
+
+
+def _recorded_runs():
+    loss = make_problem(5, 3, 16)
+    stack0 = init_layers(3, 3, InitScheme("uniform"), seed=17)
+    tied_loss = make_problem(3, 5, 21, positive=True)
+    yield loss, integrate(stack0, loss, StepController(h=1e-2, t_max=1.0))
+    yield loss, integrate(stack0, loss, StepController(mode="adaptive", t_max=5.0, max_points=20))
+    yield tied_loss, integrate_redundant(np.full(5, 0.8), 4, tied_loss,
+                                         StepController(mode="adaptive", t_max=50.0, max_points=30))
+
+
+def test_trajectory_records_the_gradient_and_optimum_it_was_driven_by():
+    for loss, traj in _recorded_runs():
+        assert traj.grads.shape == traj.thetas.shape
+        for theta, g in zip(traj.thetas, traj.grads):
+            assert np.array_equal(g, loss.gradient(theta))
+        assert traj.optimum == loss.optimal_value
 
 
 def test_controller_validation():
@@ -281,10 +303,11 @@ def test_integrate_accepts_any_value_gradient_pair():
     assert traj.losses[-1] < traj.losses[0]
     assert np.all(np.diff(traj.losses) <= 1e-10)
     assert np.array_equal(traj.xi[0], np.zeros(2))
+    assert traj.optimum == 0.0  # a loss without optimal_value has optimum 0
 
 
 def test_quartic_loss_through_general_mirror_residual():
-    # a duck-typed loss reaches the residual only through its gradient
+    # the residual reads the gradients the driver recorded from a duck-typed loss
     stack0 = LayerStack([[0.8, -0.5, 0.7], [0.6, 0.9, -0.7], [0.9, 0.6, 0.8]])
     r1, r2 = (
         mirror_residual_general(integrate(

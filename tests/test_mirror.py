@@ -249,6 +249,7 @@ def _euler_two_layer(stack0, loss, h, t_max):
     xi = np.zeros(stack0.dim)
     g = loss.gradient(np.prod(y, axis=0))
     times, snaps, thetas, xis, losses = [0.0], [y.copy()], [np.prod(y, axis=0)], [xi.copy()], [loss.value(np.prod(y, axis=0))]
+    grads = [g]
     t = 0.0
     while t < t_max - 1e-12:
         y = y + h * (-np.stack([y[1], y[0]]) * g)
@@ -262,8 +263,10 @@ def _euler_two_layer(stack0, loss, h, t_max):
         thetas.append(theta)
         xis.append(xi.copy())
         losses.append(loss.value(theta))
+        grads.append(g)
     return Trajectory(np.array(times), np.array(snaps), np.array(thetas),
-                      np.array(xis), np.array(losses), loss=loss)
+                      np.array(xis), np.array(losses), np.array(grads),
+                      optimum=loss.optimal_value)
 
 
 def test_residual_first_order_under_euler_but_tiny_under_rk4():
@@ -332,13 +335,10 @@ def test_general_residual_shrinks_with_step():
     assert 2.5 < r1 / r2 < 6.0
 
 
-def test_general_residual_needs_loss_and_enough_points():
+def test_general_residual_needs_enough_points():
     _, traj = equilibrium_run()
-    bare = Trajectory(traj.times, traj.layers, traj.thetas, traj.xi, traj.losses)
-    with pytest.raises(ValueError):
-        mirror_residual_general(bare)
     short = Trajectory(traj.times[:2], traj.layers[:2], traj.thetas[:2],
-                       traj.xi[:2], traj.losses[:2], loss=traj.loss)
+                       traj.xi[:2], traj.losses[:2], traj.grads[:2], traj.optimum)
     with pytest.raises(ValueError):
         mirror_residual_general(short)
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diagflow import (
     InitScheme,
@@ -51,6 +54,23 @@ def test_leave_one_out_handles_zeros():
     loo = leave_one_out_products(v)
     assert np.array_equal(loo[:, 0], [12.0, 8.0, 6.0])
     assert np.array_equal(loo[:, 1], [35.0, 0.0, 0.0])
+
+
+# magnitudes in [0.1, 10] or exact zeros: products of up to 6 factors stay
+# far from underflow, so a zero in the output comes only from a zero factor
+_node = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
+
+
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4), st.data())
+def test_leave_one_out_matches_brute_force(batch, num_layers, dim, data):
+    # axis 0 is the flow's (L, d) state, axis -2 the (..., L, d) of model.mobility
+    for axis, shape in ((0, (num_layers, dim)), (-2, (batch, num_layers, dim))):
+        v = data.draw(arrays(float, shape, elements=_node))
+        got = leave_one_out_products(v, axis=axis)
+        brute = np.stack([np.prod(np.delete(v, j, axis=axis), axis=axis)
+                          for j in range(num_layers)], axis=axis)
+        np.testing.assert_allclose(got, brute, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got == 0.0, brute == 0.0)
 
 
 def test_loss_identity_design():
