@@ -169,9 +169,9 @@ def _cmd_simulate(cfg: ExperimentConfig, diagnostics: str | None) -> int:
     idx = locate_min_layers(stack0)
     ctrl = StepController(mode="fixed", h=cfg.step, t_max=cfg.t_max)
     traj = integrate(stack0, loss, ctrl)
+    diag = build_diagnostics(traj, idx=idx)  # can raise: write no file before it
     if cfg.output:
         write_trajectory_csv(traj, cfg.output, include_layers=True)
-    diag = build_diagnostics(traj, idx=idx)
     if diagnostics:
         diag.write(diagnostics)
 

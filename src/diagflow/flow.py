@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import LayerStack, leave_one_out_products, mobility
+from .model import LayerStack, leave_one_out_products, mobility, theta_of_layers
 
 # Abort threshold on |theta|_inf: gradient flow on a quadratic cannot
 # diverge, so crossing this signals discretization failure.
@@ -109,22 +109,18 @@ class Trajectory:
         return self.thetas[-1]
 
 
-def _product(y: np.ndarray) -> np.ndarray:
-    return np.prod(y, axis=0)
-
-
 def _layer_velocity(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -leave_one_out_products(y) * g
 
 
 def layer_rhs(stack: LayerStack, loss) -> np.ndarray:
     """Right-hand side of the layer dynamic, one row per layer."""
-    return _layer_velocity(stack.layers, loss.gradient(_product(stack.layers)))
+    return _layer_velocity(stack.layers, loss.gradient(theta_of_layers(stack)))
 
 
 def theta_rhs(stack: LayerStack, loss) -> np.ndarray:
     """Velocity of theta: minus the mobility diagonal times the gradient."""
-    return -mobility(stack.layers) * loss.gradient(_product(stack.layers))
+    return -mobility(stack.layers) * loss.gradient(theta_of_layers(stack))
 
 
 def _value_and_gradient(loss, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -135,11 +131,11 @@ def _value_and_gradient(loss, theta: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _guard(y: np.ndarray, theta: np.ndarray, t: float, positive: bool) -> None:
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(theta))):
+    if not (np.isfinite(y).all() and np.isfinite(theta).all()):
         raise DivergenceError(t, f"non-finite state at t={t:.6g}; reduce the step size")
-    if np.max(np.abs(theta)) > DIVERGENCE_LIMIT:
+    if np.abs(theta).max() > DIVERGENCE_LIMIT:
         raise DivergenceError(t)
-    if positive and np.any(y <= 0):
+    if positive and (y <= 0).any():
         raise DivergenceError(t, f"state left the positive orthant at t={t:.6g}; reduce the step size")
 
 
@@ -160,7 +156,7 @@ def integrate(stack0: LayerStack, loss, ctrl: StepController) -> Trajectory:
     Raises ``DivergenceError`` when the state leaves the finite region and,
     in adaptive mode, ``StepUnderflowError`` when no acceptable step exists.
     """
-    return _drive(stack0.layers, loss, ctrl, theta_of=_product, velocity=_layer_velocity)
+    return _drive(stack0.layers, loss, ctrl, theta_of=theta_of_layers, velocity=_layer_velocity)
 
 
 def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepController) -> Trajectory:

@@ -35,21 +35,19 @@ EIG_CUTOFF = 1e-12
 def leave_one_out_products(values: np.ndarray, axis: int = 0) -> np.ndarray:
     """For each slice ``j`` along ``axis``, the product of all other slices.
 
-    Computed with prefix/suffix products so exact zeros are handled without
-    division.
+    Computed without division, so exact zeros are handled: a prefix
+    ``np.multiply.accumulate`` (slices ``0, ..., j-1`` in that order) times a
+    suffix one (the last slice down to ``j+1``). The factors are multiplied
+    in the order of a sequential prefix/suffix loop, so every float equals
+    that loop's bit for bit.
     """
     v = np.asarray(values)
     if axis != 0:
         v = np.moveaxis(v, axis, 0)
     out = np.empty_like(v)
-    acc = np.ones_like(v[0])
-    for j in range(v.shape[0]):
-        out[j] = acc
-        acc = acc * v[j]
-    acc = np.ones_like(v[0])
-    for j in range(v.shape[0] - 1, -1, -1):
-        out[j] = out[j] * acc
-        acc = acc * v[j]
+    out[:1] = 1
+    np.multiply.accumulate(v[:-1], axis=0, out=out[1:])
+    out[:-1] *= np.multiply.accumulate(v[:0:-1], axis=0)[::-1]
     if axis != 0:
         out = np.moveaxis(out, 0, axis)
     return out
@@ -96,9 +94,11 @@ class LayerStack:
         return theta_of_layers(self)
 
 
-def theta_of_layers(stack: LayerStack) -> np.ndarray:
-    """Componentwise product of all layers."""
-    return np.prod(stack.layers, axis=0)
+def theta_of_layers(layers: LayerStack | np.ndarray) -> np.ndarray:
+    """Componentwise product of all layers, of a stack or an ``(L, d)`` array."""
+    if isinstance(layers, LayerStack):
+        layers = layers.layers
+    return np.multiply.reduce(layers, axis=0)
 
 
 @dataclass(frozen=True, eq=False)

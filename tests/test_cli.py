@@ -58,6 +58,20 @@ def test_vanishing_mobility_is_an_error_not_a_traceback(tmp_path, monkeypatch, c
     assert "at most one zero node per coordinate" in err
 
 
+def test_failed_simulate_writes_no_file(tmp_path, monkeypatch, capsys):
+    # the diagnostics fail on two zero layers, so neither output may appear
+    monkeypatch.chdir(tmp_path)
+    weights = tmp_path / "init.txt"
+    weights.write_text("0 0 0\n0 0 0\n0.5 1 2\n", encoding="utf-8")
+    code = main(["simulate", "--layers", "3", "--dim", "3", "--tmax", "0.1",
+                 "--init-scheme", "explicit", "--init-file", str(weights),
+                 "--output", "o.csv", "--diagnostics", "d.csv"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o.csv").exists()
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_crossings_writes_node_columns(tmp_path, capsys):
     out = tmp_path / "nodes.csv"
     code = main(["crossings", "--tmax", "3.0", "--seed", "2", "--output", str(out)])

@@ -202,6 +202,29 @@ def test_divergence_guard_reports_time():
     assert err.value.time > 0
 
 
+def _scalar_run(h):
+    loss = QuadraticLoss(np.array([[3.0]]), np.array([0.0]))
+    return integrate(LayerStack([[1.0], [2.0]]), loss, StepController(h=h, t_max=10 * h))
+
+
+def _tied_run(h):
+    loss = make_problem(4, 3, 20, positive=True)
+    return integrate_redundant(np.array([0.8, 1.1, 0.9]), 4, loss, StepController(h=h, t_max=10 * h))
+
+
+# one oversized first step per branch of the guard, checked in this order
+@pytest.mark.parametrize("run, h, message", [
+    (_scalar_run, 1e3, "non-finite state at t=1000; reduce the step size"),
+    (_scalar_run, 0.2, "integration diverged at t=0.2; reduce the step size"),
+    (_tied_run, 0.25, "state left the positive orthant at t=0.25; reduce the step size"),
+], ids=["non_finite", "theta_above_limit", "left_positive_orthant"])
+def test_divergence_guard_branches(run, h, message):
+    with pytest.raises(DivergenceError) as err:
+        run(h)
+    assert str(err.value) == message
+    assert err.value.time == h
+
+
 def test_adaptive_step_underflow():
     loss = make_problem(4, 3, 14)
     stack0 = init_layers(3, 2, InitScheme("uniform"), seed=15)

@@ -73,6 +73,39 @@ def test_leave_one_out_matches_brute_force(batch, num_layers, dim, data):
         assert np.array_equal(got == 0.0, brute == 0.0)
 
 
+def _sequential_leave_one_out(values, axis):
+    # reference: the sequential prefix/suffix loop, one slice at a time
+    v = np.moveaxis(np.asarray(values), axis, 0)
+    out = np.empty_like(v)
+    acc = np.ones_like(v[0])
+    for j in range(v.shape[0]):
+        out[j] = acc
+        acc = acc * v[j]
+    acc = np.ones_like(v[0])
+    for j in range(v.shape[0] - 1, -1, -1):
+        out[j] = out[j] * acc
+        acc = acc * v[j]
+    return np.moveaxis(out, 0, axis)
+
+
+# any non-NaN float, with signed zeros and infinities drawn often: products
+# round, overflow and give 0 * inf = NaN, so only the loop's order matches
+_any_node = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+                      st.floats(-10.0, 10.0), st.floats(allow_nan=False))
+
+
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4), st.data())
+def test_leave_one_out_equals_sequential_loop_bit_for_bit(batch, num_layers, dim, data):
+    for axis, shape in ((0, (num_layers, dim)), (-2, (batch, num_layers, dim)),
+                        (1, (dim, num_layers, batch))):
+        v = data.draw(arrays(float, shape, elements=_any_node))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = leave_one_out_products(v, axis=axis)
+            want = _sequential_leave_one_out(v, axis)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_loss_identity_design():
     loss = QuadraticLoss(np.eye(2), np.zeros(2))
     assert loss.value(np.array([1.0, 2.0])) == 5.0
