@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -196,9 +197,13 @@ def _cmd_simulate(cfg: ExperimentConfig, diagnostics: str | None) -> int:
 
 
 def _cmd_crossings(cfg: ExperimentConfig, diagnostics: str | None) -> int:
-    result = run_crossings(cfg)
+    result = run_crossings(replace(cfg, output=None))
+    # the diagnostics can raise: build them before writing any file
+    diag = build_diagnostics(result.trajectory, idx=result.index) if diagnostics else None
+    if cfg.output:
+        result.write(cfg.output)
     if diagnostics:
-        build_diagnostics(result.trajectory, idx=result.index).write(diagnostics)
+        diag.write(diagnostics)
     flagged = int(result.census.flagged.sum())
     rows = [
         ("nodes that crossed or touched zero", str(flagged), None),

@@ -99,12 +99,15 @@ def conservation_defect(traj: Trajectory) -> np.ndarray:
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
-    sq = traj.layers ** 2
-    drift = sq - sq[0]
-    # one pair at a time keeps the temporaries at (K, d), not (K, L, L, d)
+    sq0 = traj.layers[0] ** 2
     defect = np.zeros((traj.num_layers, traj.num_layers))
-    for j, k in itertools.combinations(range(traj.num_layers), 2):
-        defect[j, k] = defect[k, j] = np.max(np.abs(drift[:, j] - drift[:, k]))
+    for part in traj.blocks():
+        drift = part.layers ** 2
+        drift -= sq0
+        # one pair at a time keeps the temporaries at (block, d), not (block, L, L, d)
+        for j, k in itertools.combinations(range(traj.num_layers), 2):
+            worst = np.max(np.abs(drift[:, j] - drift[:, k]))
+            defect[j, k] = defect[k, j] = np.maximum(defect[j, k], worst)
     return defect
 
 
@@ -129,11 +132,11 @@ def sign_census(traj: Trajectory, idx: MinLayerIndex) -> SignCensus:
     step, so double crossings between snapshots are invisible.
     A violation is any flagged node outside its coordinate's minimal layer.
     """
-    u = traj.layers
-    s = np.sign(u)
-    crossed = (s[:-1] * s[1:] < 0).any(axis=0) if len(traj) > 1 else np.zeros(u.shape[1:], bool)
-    touched = (u == 0.0).any(axis=0)
-    flagged = crossed | touched
+    flagged = np.zeros(traj.layers.shape[1:], bool)
+    for part in traj.blocks(overlap=1):
+        u = part.layers
+        s = np.sign(u)
+        flagged |= (s[:-1] * s[1:] < 0).any(axis=0) | (u == 0.0).any(axis=0)
     violations = []
     for j, i in zip(*np.nonzero(flagged)):
         if j != idx.layer[i]:
@@ -180,8 +183,11 @@ def reconstruction_error(traj: Trajectory, idx: MinLayerIndex) -> float:
     through ``reconstruct_theta``; small on an accurate flow.
     """
     perm = min_layer_permutation(traj.stack_at(0), idx)
-    v1 = traj.layers[:, idx.layer, np.arange(traj.dim)]  # (K, d)
-    return float(np.max(np.abs(reconstruct_theta(v1, perm) - traj.thetas)))
+    cols = np.arange(traj.dim)
+    return float(np.max([
+        np.max(np.abs(reconstruct_theta(part.layers[:, idx.layer, cols], perm) - part.thetas))
+        for part in traj.blocks()
+    ]))
 
 
 def mobility_diagonal(stack: LayerStack) -> np.ndarray:

@@ -201,28 +201,30 @@ class CrossingsResult:
     trajectory: Trajectory
     coordinate: int
 
+    def write(self, path) -> None:
+        """Write ``t,u_1_i,...,u_L_i`` for the tracked coordinate (1-based in the header)."""
+        traj, i = self.trajectory, self.coordinate
+        header = ["t"] + [f"u_{j}_{i + 1}" for j in range(1, traj.num_layers + 1)]
+        write_rows_csv(path, header, ([traj.times[k], *traj.layers[k, :, i]]
+                                      for k in range(len(traj))))
+
 
 def run_crossings(cfg: ExperimentConfig, coordinate: int = 0) -> CrossingsResult:
     """Track per-layer node paths and census their sign changes.
 
-    Writes ``t,u_1_i,...,u_L_i`` for the chosen coordinate (1-based in the
-    header) when ``cfg.output`` is set.
+    Writes the node paths (``CrossingsResult.write``) when ``cfg.output`` is
+    set.
     """
     loss = make_problem(cfg.n, cfg.dim, cfg.seed)
     stack0 = init_layers(cfg.dim, cfg.layers, cfg.init_scheme(), seed=cfg.seed + 1)
     idx = locate_min_layers(stack0)
     ctrl = StepController(mode="fixed", h=cfg.step, t_max=cfg.t_max)
     traj = integrate(stack0, loss, ctrl)
-    census = sign_census(traj, idx)
+    result = CrossingsResult(census=sign_census(traj, idx), index=idx, trajectory=traj,
+                             coordinate=coordinate)
     if cfg.output:
-        header = ["t"] + [f"u_{j}_{coordinate + 1}" for j in range(1, cfg.layers + 1)]
-        rows = (
-            [traj.times[k], *traj.layers[k, :, coordinate]]
-            for k in range(len(traj))
-        )
-        write_rows_csv(cfg.output, header, rows)
-    return CrossingsResult(census=census, index=idx, trajectory=traj,
-                           coordinate=coordinate)
+        result.write(cfg.output)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,10 @@ DIVERGENCE_LIMIT = 1e12
 
 _MIN_STEP_FRACTION = 1e-14
 
+# Snapshots a diagnostic holds at once (``Trajectory.blocks``), so that its
+# temporaries are O(block * L * d) however long the trajectory is.
+SNAPSHOT_BLOCK = 256
+
 
 class DivergenceError(RuntimeError):
     """State left the finite/bounded region; retry with a smaller step."""
@@ -54,8 +58,11 @@ class StepController:
     ``mode`` is ``"fixed"`` (RK4 with step ``h``) or ``"adaptive"``
     (step-doubling error control starting from ``h``). ``max_points`` caps
     the number of stored snapshots; the dual-variable quadrature always runs
-    on the undecimated grid. ``stop_gap``, when set, ends the run early once
-    ``loss - optimal_value`` drops to that level.
+    on the undecimated grid. A fixed-step run without ``stop_gap`` knows its
+    grid in advance, so it holds only the O(``max_points``) snapshots it
+    returns; adaptive and ``stop_gap`` runs record every accepted step and
+    decimate at the end. Both keep the same rows. ``stop_gap``, when set,
+    ends the run early once ``loss - optimal_value`` drops to that level.
     """
 
     mode: str = "fixed"
@@ -108,6 +115,18 @@ class Trajectory:
     def final_theta(self) -> np.ndarray:
         return self.thetas[-1]
 
+    def blocks(self, overlap: int = 0):
+        """Consecutive views of at most ``SNAPSHOT_BLOCK`` snapshots each.
+
+        Consecutive blocks share ``overlap`` rows, so every run of
+        ``overlap + 1`` neighbouring snapshots lies in exactly one block.
+        An empty trajectory gives one empty block.
+        """
+        columns = (self.times, self.layers, self.thetas, self.xi, self.losses, self.grads)
+        for start in range(0, max(len(self) - overlap, 1), SNAPSHOT_BLOCK - overlap):
+            rows = slice(start, start + SNAPSHOT_BLOCK)
+            yield Trajectory(*(column[rows] for column in columns), optimum=self.optimum)
+
 
 def _layer_velocity(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -leave_one_out_products(y) * g
@@ -139,19 +158,47 @@ def _guard(y: np.ndarray, theta: np.ndarray, t: float, positive: bool) -> None:
         raise DivergenceError(t, f"state left the positive orthant at t={t:.6g}; reduce the step size")
 
 
+def _stride(k: int, max_points: int) -> int:
+    """Keep every ``stride``-th of ``k`` rows, plus the last, to hold at most ``max_points``."""
+    return math.ceil(k / (max_points - 1)) if k > max_points else 1
+
+
 def _decimate(columns: tuple[list, ...], max_points: int) -> list[np.ndarray]:
     k = len(columns[0])
-    stride = math.ceil(k / (max_points - 1)) if k > max_points else 1
-    idx = sorted({*range(0, k, stride), k - 1})
-    return [np.array([column[i] for i in idx]) for column in columns]
+    idx = sorted({*range(0, k, _stride(k, max_points)), k - 1})
+    stacked = []
+    for column in columns:
+        stacked.append(np.array([column[i] for i in idx]))
+        column.clear()  # free the recorded rows before stacking the next column
+    return stacked
+
+
+def _next_step(t: float, h: float, t_end: float) -> float | None:
+    """The step ``_drive`` takes from ``t`` (clipped to end at ``t_end``); None once done."""
+    return min(h, t_end - t) if t < t_end - 1e-12 * t_end else None
+
+
+def _kept_steps(ctrl: StepController) -> tuple[int, int | None]:
+    """Stride and last step of the rows ``_decimate`` keeps, or ``(1, None)``.
+
+    Known up front only when the time grid does not depend on the state: a
+    fixed-step run without ``stop_gap``, counted by ``_drive``'s recurrence.
+    """
+    if ctrl.mode != "fixed" or ctrl.stop_gap is not None:
+        return 1, None
+    t, h, steps = 0.0, ctrl.h, 0
+    while (h := _next_step(t, h, ctrl.t_max)) is not None:
+        t, steps = t + h, steps + 1
+    return _stride(steps + 1, ctrl.max_points), steps
 
 
 def integrate(stack0: LayerStack, loss, ctrl: StepController) -> Trajectory:
     """Run gradient flow on the layers from ``stack0`` until ``ctrl.t_max``.
 
-    Snapshots are recorded at every accepted step (then decimated to at most
-    ``ctrl.max_points``); xi is accumulated by the trapezoidal rule on the
-    accepted grid. Deterministic given its inputs.
+    Snapshots are taken at every ``stride``-th accepted step plus the last,
+    with the stride that caps them at ``ctrl.max_points``; xi is accumulated
+    by the trapezoidal rule on the full accepted grid. Deterministic given
+    its inputs.
 
     Raises ``DivergenceError`` when the state leaves the finite region and,
     in adaptive mode, ``StepUnderflowError`` when no acceptable step exists.
@@ -205,22 +252,26 @@ def _drive(y0, loss, ctrl, theta_of, velocity, positive=False):
 
     Fixed mode accepts every RK4 step; adaptive mode proposes step-doubling
     steps, accepts those within tolerance, and rescales ``h`` after each.
+    When the step count is known up front, only the rows ``_decimate`` would
+    keep are appended; otherwise every accepted step is, and ``_decimate``
+    thins them at the end (on the kept rows it is the identity).
     """
 
     def rhs(y):
         return velocity(y, loss.gradient(theta_of(y)))
 
     adaptive = ctrl.mode == "adaptive"
-    t, h, t_end = 0.0, ctrl.h, ctrl.t_max
+    t, h = 0.0, ctrl.h
     y = np.array(y0, dtype=float)
     theta = theta_of(y)
     val, g = _value_and_gradient(loss, theta)
     xi = np.zeros(y.shape[1])
-    columns = ([t], [y], [theta], [xi], [val], [g])  # the Trajectory rows, per step
+    columns = ([t], [y], [theta], [xi], [val], [g])  # the Trajectory rows
+    stride, last = _kept_steps(ctrl)
+    step = 0
     optimum = getattr(loss, "optimal_value", 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while t < t_end - 1e-12 * t_end:
-            h = min(h, t_end - t)
+        while (h := _next_step(t, h, ctrl.t_max)) is not None:
             k1 = velocity(y, g)
             if adaptive:
                 y_new, ratio = _doubling_step(y, h, k1, rhs, ctrl)
@@ -233,8 +284,10 @@ def _drive(y0, loss, ctrl, theta_of, velocity, positive=False):
                 _guard(y, theta, t, positive)
                 xi = xi - (0.5 * h) * (g + g_new)
                 g = g_new
-                for column, v in zip(columns, (t, y, theta, xi, val, g)):
-                    column.append(v)
+                step += 1
+                if step % stride == 0 or step == last:
+                    for column, v in zip(columns, (t, y, theta, xi, val, g)):
+                        column.append(v)
                 if ctrl.stop_gap is not None and val - optimum <= ctrl.stop_gap:
                     break
             if adaptive:

@@ -187,6 +187,10 @@ def mirror_residual_general(traj: Trajectory) -> float:
     """
     if len(traj) < 3:
         raise ValueError("need at least 3 grid points for central differences")
+    return float(np.max([_first_order_residual(part) for part in traj.blocks(overlap=2)]))
+
+
+def _first_order_residual(traj: Trajectory) -> float:
     t = traj.times
     th = traj.thetas
     m = mobility(traj.layers)
@@ -203,4 +207,4 @@ def mirror_residual_general(traj: Trajectory) -> float:
     )
     dtheta = num / (hm * hp * (hm + hp))[:, None]
     res = dtheta / m[1:-1] + traj.grads[1:-1]
-    return float(np.max(np.abs(res)))
+    return np.max(np.abs(res))

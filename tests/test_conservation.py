@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from diagflow import (
     locate_min_layers,
     make_problem,
     min_layer_permutation,
+    mirror_residual_general,
     mobility_diagonal,
     mobility_inverse_diagonal,
     reconstruct_theta,
@@ -25,6 +27,8 @@ from diagflow import (
     sigma_lower_bound,
     sign_census,
 )
+from diagflow.flow import SNAPSHOT_BLOCK
+from diagflow.model import mobility
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +260,75 @@ def test_mobility_bound_sweep():
         traj = integrate(stack0, loss, StepController(t_max=2.0))
         for k in range(0, len(traj), 25):
             assert mobility_diagonal(traj.stack_at(k)).min() >= bound.sigma - 1e-9
+
+
+# The diagnostics as whole-trajectory formulas, before they walked the
+# snapshots in blocks: the reference the block-wise versions must equal bit
+# for bit.
+def _whole_defect(traj):
+    sq = traj.layers ** 2
+    drift = sq - sq[0]
+    defect = np.zeros((traj.num_layers, traj.num_layers))
+    for j, k in itertools.combinations(range(traj.num_layers), 2):
+        defect[j, k] = defect[k, j] = np.max(np.abs(drift[:, j] - drift[:, k]))
+    return defect
+
+
+def _whole_flagged(traj):
+    u = traj.layers
+    s = np.sign(u)
+    crossed = (s[:-1] * s[1:] < 0).any(axis=0) if len(traj) > 1 else np.zeros(u.shape[1:], bool)
+    return crossed | (u == 0.0).any(axis=0)
+
+
+def _whole_reconstruction(traj, idx):
+    perm = min_layer_permutation(traj.stack_at(0), idx)
+    v1 = traj.layers[:, idx.layer, np.arange(traj.dim)]
+    return float(np.max(np.abs(reconstruct_theta(v1, perm) - traj.thetas)))
+
+
+def _whole_mirror_residual(traj):
+    t, th = traj.times, traj.thetas
+    m = mobility(traj.layers)
+    hp = t[2:] - t[1:-1]
+    hm = t[1:-1] - t[:-2]
+    num = (
+        (hm ** 2)[:, None] * th[2:]
+        + ((hp ** 2 - hm ** 2))[:, None] * th[1:-1]
+        - (hp ** 2)[:, None] * th[:-2]
+    )
+    dtheta = num / (hm * hp * (hm + hp))[:, None]
+    return float(np.max(np.abs(dtheta / m[1:-1] + traj.grads[1:-1])))
+
+
+def test_blockwise_diagnostics_equal_whole_trajectory_formulas():
+    B = SNAPSHOT_BLOCK
+    loss = make_problem(6, 4, 31)
+    stack0 = init_layers(4, 3, InitScheme("uniform"), seed=32)
+    idx = locate_min_layers(stack0)
+    assert idx.holds
+    # 2.75 blocks of snapshots, the last block partial
+    traj = integrate(stack0, loss, StepController(h=1e-3, t_max=2.75 * B * 1e-3, max_points=10**6))
+    layers = traj.layers.copy()
+    # a non-minimal node crosses zero between the last row of one block and
+    # the first row of the next, and nowhere else
+    j = (idx.layer[0] + 1) % 3
+    assert np.all(layers[:, j, 0] > 0) or np.all(layers[:, j, 0] < 0)
+    layers[B:, j, 0] *= -1.0
+    # a minimal node touches zero in the last, partial block
+    layers[2 * B + B // 2, idx.layer[1], 1] = 0.0
+    # the largest mirror residual sits at the last row of the first block,
+    # whose central difference needs the first row of the next
+    grads = traj.grads.copy()
+    grads[B - 1] += 1e6
+    traj = replace(traj, layers=layers, grads=grads)
+    parts = list(traj.blocks())
+    assert len(parts) == 3 and 0 < len(parts[-1]) < B
+
+    assert np.array_equal(conservation_defect(traj), _whole_defect(traj))
+    census = sign_census(traj, idx)
+    assert np.array_equal(census.flagged, _whole_flagged(traj))
+    assert census.flagged[j, 0] and census.flagged[idx.layer[1], 1]
+    assert census.violations == ((0, j),)
+    assert reconstruction_error(traj, idx) == _whole_reconstruction(traj, idx)
+    assert mirror_residual_general(traj) == _whole_mirror_residual(traj) > 1e5

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from diagflow import (
     QuadraticLoss,
     StepController,
     StepUnderflowError,
+    Trajectory,
     init_layers,
     integrate,
     integrate_redundant,
@@ -17,6 +22,7 @@ from diagflow import (
     theta_rhs,
     write_trajectory_csv,
 )
+from diagflow.flow import SNAPSHOT_BLOCK
 
 # theta(1) for the scalar benchmark below (u0=1, v0=2, loss theta^2),
 # computed once with explicit Euler at step 1e-6
@@ -247,6 +253,71 @@ def test_snapshot_decimation_caps_points_but_not_xi_accuracy():
     rows = np.searchsorted(full.times, thin.times)
     for name in ("times", "layers", "thetas", "xi", "losses", "grads"):
         assert np.array_equal(getattr(thin, name), getattr(full, name)[rows]), name
+
+
+_FIELDS = ("times", "layers", "thetas", "xi", "losses", "grads")
+
+
+def _decimation_rows(k, max_points):
+    """Every stride-th of k rows plus the last, the stride capping them at max_points."""
+    stride = math.ceil(k / (max_points - 1)) if k > max_points else 1
+    return sorted({*range(0, k, stride), k - 1})
+
+
+@pytest.mark.parametrize("ctrl, full_rows", [
+    (StepController(h=1e-2, t_max=1.0, max_points=100), 101),   # max_points + 1 rows
+    (StepController(h=1e-2, t_max=1.0, max_points=101), 101),   # max_points rows
+    (StepController(h=1e-2, t_max=1.0, max_points=102), 101),   # max_points - 1 rows
+    (StepController(h=1e-2, t_max=1.0, max_points=2), 101),
+    (StepController(h=1e-2, t_max=1.0, max_points=3), 101),
+    (StepController(h=1e-2, t_max=1.0, max_points=7), 101),
+    (StepController(h=0.03, t_max=1.0, max_points=5), 35),      # T is not a multiple of h
+    (StepController(h=1e-3, t_max=2.3, max_points=333), 2301),
+    (StepController(h=1e-2, t_max=50.0, max_points=9, stop_gap=1e-3), 419),
+    (StepController(mode="adaptive", t_max=5.0, max_points=11), 92),
+], ids=["rows_m+1", "rows_m", "rows_m-1", "m2", "m3", "m7", "ragged_T", "long_ragged_T",
+        "stop_gap", "adaptive"])
+def test_kept_rows_are_the_undecimated_rows_at_the_decimation_indices(ctrl, full_rows):
+    loss = make_problem(5, 3, 16)
+    stack0 = init_layers(3, 3, InitScheme("uniform"), seed=17)
+    full = integrate(stack0, loss, replace(ctrl, max_points=10**6))
+    kept = integrate(stack0, loss, ctrl)
+    assert len(full) == full_rows
+    rows = _decimation_rows(full_rows, ctrl.max_points)
+    assert len(kept) == len(rows) <= ctrl.max_points
+    for name in _FIELDS:
+        assert np.array_equal(getattr(kept, name), getattr(full, name)[rows]), name
+    assert kept.optimum == full.optimum
+
+
+def test_fixed_run_holds_only_the_snapshots_it_returns():
+    # 10,000 steps kept at 3,335 rows: recording every step before
+    # decimating peaked at 4.7 times the returned arrays
+    loss = make_problem(8, 64, 0)
+    stack0 = init_layers(64, 2, InitScheme("uniform"), seed=1)
+    tracemalloc.start()
+    try:
+        traj = integrate(stack0, loss, StepController(h=1e-3, t_max=10.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 3335
+    assert peak <= 2 * sum(getattr(traj, name).nbytes for name in _FIELDS)
+
+
+@pytest.mark.parametrize("overlap", [0, 1, 2])
+def test_snapshot_blocks_cover_every_window_once(overlap):
+    B = SNAPSHOT_BLOCK
+    for k in (0, 1, 2, 3, B - 1, B, B + 1, 2 * B - 2, 2 * B - 1, 2 * B, 3 * B + 5):
+        traj = Trajectory(np.arange(k, dtype=float), np.zeros((k, 2, 1)), np.zeros((k, 1)),
+                          np.zeros((k, 1)), np.zeros(k), np.zeros((k, 1)))
+        parts = [part.times.astype(int) for part in traj.blocks(overlap)]
+        assert all(0 < len(p) <= B for p in parts) or k == 0
+        assert sorted({*np.concatenate(parts)}) == [*range(k)]
+        # each run of overlap + 1 neighbouring rows lies in exactly one block
+        width = min(overlap + 1, k)
+        windows = [tuple(p[a:a + width]) for p in parts for a in range(len(p) - width + 1)]
+        assert sorted(windows) == [tuple(range(a, a + width)) for a in range(k - width + 1)]
 
 
 def _recorded_runs():
