@@ -1,18 +1,17 @@
 """Paired parent/change runs of the diagflow benchmark, written as one JSON file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --pr N
-        [--workload W ...] [--pairs 10] [--first-seed 11] [--seconds S]
-        [--traced W ...] [--size {full,toy}] [--output BENCH_N.json]
+        [--pairs 10] [--traced W ...]
 
 ``DIR`` is a checkout holding ``diagbench/run.py`` and ``src/diagflow``:
 for example ``git archive`` of each commit unpacked into its own
-directory. For every workload, pair ``i`` runs ``diagbench/run.py
---trace 0`` once on each side with seed ``first_seed + i``; the parent goes
-first in even pairs and the change in odd ones. Run length is the
-benchmark's ``run_seconds`` unless ``--seconds`` is given, the same on both
-sides. ``--traced W`` adds one ``--trace 1`` run of workload ``W`` per side
-for the per-layer figures. ``--size toy`` passes the benchmark's shrunken
-inputs through, for a quick check of this script.
+directory. For every workload of the change's ``BENCHMARK.json``, pair
+``i`` runs ``diagbench/run.py --trace 0 --size full`` once on each side
+with seed ``11 + i``; the parent goes first in even pairs and the change in
+odd ones. Run length is the benchmark's ``run_seconds`` on both sides.
+``--traced W`` adds one ``--trace 1`` run of workload ``W`` per side, seed
+11, for the per-layer figures. The report is written to ``BENCH_<pr>.json``
+in the working directory.
 
 Per end-to-end metric the output holds each side's runs, median and
 quartiles, the pairs the change won (ties count for neither), the median
@@ -32,13 +31,13 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+FIRST_SEED = 11
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
-              size: str) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``diagbench/run.py`` run: its result JSON and the machine facts it printed."""
     cmd = [sys.executable, "diagbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace), "--size", size]
+           "--seconds", str(seconds), "--trace", str(trace), "--size", "full"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -75,29 +74,23 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
-    parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=11)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--traced", action="append", default=[])
-    parser.add_argument("--size", choices=["full", "toy"], default="full")
-    parser.add_argument("--output", type=Path)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    output = args.output or Path(f"BENCH_{args.pr}.json")
+    seconds = spec["run_seconds"]
+    output = Path(f"BENCH_{args.pr}.json")
 
     machine: dict = {}
     result: dict = {}
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {side: [] for side in SIDES}
-        seeds = [args.first_seed + i for i in range(args.pairs)]
+        seeds = [FIRST_SEED + i for i in range(args.pairs)]
         for i, seed in enumerate(seeds):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 began = time.perf_counter()
-                out = run_bench(checkouts[side], workload, seed, seconds, 0, args.size)
+                out = run_bench(checkouts[side], workload, seed, seconds, 0)
                 machine[side] = out["machine"]
                 runs[side].append(out)
                 print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} {side}: "
@@ -118,20 +111,20 @@ def main(argv=None) -> int:
     for workload in args.traced:
         traced[workload] = {}
         for side in SIDES:
-            out = run_bench(checkouts[side], workload, args.first_seed, seconds, 1, args.size)
+            out = run_bench(checkouts[side], workload, FIRST_SEED, seconds, 1)
             traced[workload][side] = {"failed": out["failed"], "attempted": out["attempted"],
                                       **{k: v["value"] for k, v in out["metrics"].items()}}
 
     report = {
         "command": f"python3 diagbench/run.py --workload W --seed N --seconds {seconds:g} "
-                   f"--trace 0 --size {args.size}",
+                   "--trace 0 --size full",
         "protocol": "one seed per pair, the same on both sides; the side run first "
                     "alternates, the parent first in even pairs",
         "machine": machine,
         "workloads": result,
     }
     if traced:
-        report["traced"] = {"seed": args.first_seed, "workloads": traced}
+        report["traced"] = {"seed": FIRST_SEED, "workloads": traced}
     output.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {output}", file=sys.stderr)
     return 0
