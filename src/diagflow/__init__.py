@@ -10,8 +10,6 @@ from .conservation import (
     conservation_defect,
     locate_min_layers,
     min_layer_permutation,
-    mobility_diagonal,
-    mobility_inverse_diagonal,
     reconstruct_theta,
     reconstruction_error,
     sigma_lower_bound,
@@ -59,10 +57,13 @@ from .model import (
     QuadraticLoss,
     init_layers,
     leave_one_out_products,
+    mobility,
     theta_of_layers,
 )
 from .paramcheck import (
+    Certificate,
     FlatParams,
+    certify,
     commuting_defect,
     coordinate_gradient,
     coordinate_hessian,

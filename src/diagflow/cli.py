@@ -15,6 +15,10 @@ flags. ``--init-scheme explicit`` and ``--init-file`` go together. A
 line; explicit flags win, and a key the command does not take, ``config``
 included, is a usage error.
 
+Every command builds all of its checks, the diagnostics included, before
+``main`` writes ``--output`` and then ``--diagnostics``: a run that stops on
+an error before that writes neither file.
+
 Exit codes: 0 when every check passes, 1 on a check or numerical failure
 or an unwritable output file, 2 on usage errors (an unreadable config or
 init file and out-of-range values included).
@@ -24,22 +28,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import paramcheck as pc
 from .conservation import SingularMobilityError, TiedMinimumError, locate_min_layers
-from .experiments import (
-    ExperimentConfig,
-    NewtonError,
-    make_problem,
-    run_bias,
-    run_convergence,
-    run_crossings,
-)
+from .experiments import ExperimentConfig, NewtonError, run_bias, run_convergence, run_crossings
 from .flow import DivergenceError, StepController, StepUnderflowError, integrate
-from .model import InitScheme, init_layers
+from .model import InitScheme
 from .report import build_diagnostics, write_trajectory_csv
 
 # Pass/fail thresholds for the summary checks, valid at the default
@@ -118,8 +114,9 @@ def _load_config(path: str) -> list[str]:
     return flags
 
 
-def _parse(parser: argparse.ArgumentParser, argv) -> tuple[str, ExperimentConfig, str | None]:
-    """Command, its configuration and its diagnostics path; usage errors exit 2.
+def _parse(parser: argparse.ArgumentParser,
+           argv) -> tuple[str, ExperimentConfig, str | None, str | None]:
+    """Command, its configuration, output and diagnostics paths; usage errors exit 2.
 
     Config-file flags are parsed like command-line flags, and explicit
     flags win over them; unset values fall back to ``_DEFAULTS`` and then to
@@ -138,6 +135,7 @@ def _parse(parser: argparse.ArgumentParser, argv) -> tuple[str, ExperimentConfig
     opts = {**_DEFAULTS[args["command"]], **args}
     command = opts.pop("command")
     opts.pop("config", None)
+    output = opts.pop("output", None)
     diagnostics = opts.pop("diagnostics", None)
     init_file = opts.pop("init_file", None)
     if (opts.get("scheme") == "explicit") != (init_file is not None):
@@ -148,33 +146,30 @@ def _parse(parser: argparse.ArgumentParser, argv) -> tuple[str, ExperimentConfig
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read --init-file: {exc}")
     try:
-        return command, ExperimentConfig(**opts), diagnostics
+        return command, ExperimentConfig(**opts), output, diagnostics
     except ValueError as exc:
         parser.error(str(exc))
 
 
 def _print_table(rows: list[tuple[str, str, bool | None]]) -> bool:
     width = max(len(name) for name, _, _ in rows)
-    ok_all = True
     for name, value, ok in rows:
         status = "" if ok is None else ("  pass" if ok else "  FAIL")
         print(f"{name:<{width}}  {value}{status}")
-        if ok is False:
-            ok_all = False
-    return ok_all
+    return all(ok is not False for _, _, ok in rows)
 
 
-def _cmd_simulate(cfg: ExperimentConfig, diagnostics: str | None) -> int:
-    loss = make_problem(cfg.n, cfg.dim, cfg.seed)
-    stack0 = init_layers(cfg.dim, cfg.layers, cfg.init_scheme(), seed=cfg.seed + 1)
+# A flow command returns (write, diag, rows): the writer of its --output CSV,
+# its diagnostics (None unless asked for or read by the table) and its table
+# rows. It writes nothing; main does, once all three are built.
+
+
+def _cmd_simulate(cfg: ExperimentConfig, want_diag: bool):
+    loss, stack0 = cfg.problem()
     idx = locate_min_layers(stack0)
     ctrl = StepController(mode="fixed", h=cfg.step, t_max=cfg.t_max)
     traj = integrate(stack0, loss, ctrl)
-    diag = build_diagnostics(traj, idx=idx)  # can raise: write no file before it
-    if cfg.output:
-        write_trajectory_csv(traj, cfg.output, include_layers=True)
-    if diagnostics:
-        diag.write(diagnostics)
+    diag = build_diagnostics(traj, idx=idx)  # the table reads it, asked for or not
 
     defect = diag.value("conservation", "max_defect")
     rows = [
@@ -193,30 +188,26 @@ def _cmd_simulate(cfg: ExperimentConfig, diagnostics: str | None) -> int:
         pass
     on_manifold = bool(diag.value("manifold", "all_snapshots_on_manifold"))
     rows.append(("snapshots on manifold", str(on_manifold), on_manifold))
-    return 0 if _print_table(rows) else 1
+    return lambda path: write_trajectory_csv(traj, path, include_layers=True), diag, rows
 
 
-def _cmd_crossings(cfg: ExperimentConfig, diagnostics: str | None) -> int:
-    result = run_crossings(replace(cfg, output=None))
-    # the diagnostics can raise: build them before writing any file
-    diag = build_diagnostics(result.trajectory, idx=result.index) if diagnostics else None
-    if cfg.output:
-        result.write(cfg.output)
-    if diagnostics:
-        diag.write(diagnostics)
+def _cmd_crossings(cfg: ExperimentConfig, want_diag: bool):
+    result = run_crossings(cfg)
+    diag = build_diagnostics(result.trajectory, idx=result.index) if want_diag else None
     flagged = int(result.census.flagged.sum())
     rows = [
         ("nodes that crossed or touched zero", str(flagged), None),
         ("census violations", str(len(result.census.violations)), result.census.ok),
     ]
-    return 0 if _print_table(rows) else 1
+    return result.write, diag, rows
 
 
-def _cmd_convergence(cfg: ExperimentConfig, diagnostics: str | None) -> int:
+def _cmd_convergence(cfg: ExperimentConfig, want_diag: bool):
     result = run_convergence(cfg)
-    if diagnostics:
+    diag = None
+    if want_diag:
         idx = locate_min_layers(result.trajectory.stack_at(0))
-        build_diagnostics(result.trajectory, idx=idx, rate=result.rate).write(diagnostics)
+        diag = build_diagnostics(result.trajectory, idx=idx, rate=result.rate)
     ttg = result.time_to_target
     rows = [
         ("sigma lower bound", f"{result.sigma.sigma:.6g}", None),
@@ -224,76 +215,55 @@ def _cmd_convergence(cfg: ExperimentConfig, diagnostics: str | None) -> int:
         ("time to gap 1e-6", "not reached" if ttg is None else f"{ttg:.6g}", None),
         ("rate bound violations", str(result.rate.violations), result.rate.ok),
     ]
-    return 0 if _print_table(rows) else 1
+    return result.write, diag, rows
 
 
-def _cmd_bias(cfg: ExperimentConfig, diagnostics: str | None) -> int:
+def _cmd_bias(cfg: ExperimentConfig, want_diag: bool):
     result = run_bias(cfg)
-    if diagnostics:
-        last = result.rows[-1]
-        build_diagnostics(last.trajectory, entropy=last.entropy).write(diagnostics)
+    last = result.rows[-1]
+    diag = build_diagnostics(last.trajectory, entropy=last.entropy) if want_diag else None
     rows = []
     for r in result.rows:
         rows.append((f"alpha={r.alpha:g} L1 excess", f"{r.l1_norm - r.l1_min:.6g}", None))
         rows.append((f"alpha={r.alpha:g} flow-vs-stationary mismatch",
                      f"{r.linf_mismatch:.3e}", r.linf_mismatch <= BIAS_MISMATCH_TOL))
-    return 0 if _print_table(rows) else 1
+    return result.write, diag, rows
 
 
-def _cmd_paramcheck(cfg: ExperimentConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    L, d, samples = cfg.layers, cfg.dim, cfg.n
-
-    max_defect = 0.0
-    for _ in range(samples):
-        fp = pc.FlatParams(rng.uniform(-2.0, 2.0, L * d), L, d)
-        i1, i2 = rng.integers(0, d, size=2)
-        max_defect = max(max_defect, pc.commuting_defect(fp, int(i1), int(i2)))
-
-    ranks_ok = True
-    for k in range(samples):
-        w = rng.uniform(0.2, 2.0, L * d) * rng.choice([-1.0, 1.0], L * d)
-        blocks = w.reshape(d, L)
-        if k % 2 == 1:
-            blocks[np.arange(d), rng.integers(0, L, size=d)] = 0.0  # one zero per block
-        fp = pc.FlatParams(blocks.reshape(-1), L, d)
-        ranks_ok &= pc.jacobian_rank(fp) == d
-
-    w = rng.uniform(0.2, 2.0, L * d)
-    w[0] = w[1] = 0.0  # two zeros in block 1
-    deficient = pc.jacobian_rank(pc.FlatParams(w, L, d))
-
-    # control map (w1 w2, w1 w3): shares w1 across outputs, so the
-    # commutator is nonzero and the detector must see it
-    wc = rng.uniform(0.5, 1.5, 3)
-    g1 = np.array([wc[1], wc[0], 0.0])
-    g2 = np.array([wc[2], 0.0, wc[0]])
-    h1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    h2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    control_defect = float(np.max(np.abs(h1 @ g2 - h2 @ g1)))
-
-    stack0 = init_layers(d, L, InitScheme("uniform"), seed=cfg.seed)
-    bridge = locate_min_layers(stack0).holds and pc.on_manifold(pc.FlatParams.from_stack(stack0))
-
+def _cmd_paramcheck(cfg: ExperimentConfig):
+    c = pc.certify(cfg.layers, cfg.dim, cfg.n, cfg.seed)
     rows = [
-        (f"commuting defect, {samples} samples", f"{max_defect:.3e}", max_defect == 0.0),
-        (f"jacobian rank == dim on manifold, {samples} samples", str(ranks_ok), ranks_ok),
-        ("rank drop with two zero nodes in a block", str(deficient), deficient == d - 1),
-        ("control counterexample defect", f"{control_defect:.3e}",
-         control_defect > COUNTEREXAMPLE_MIN_DEFECT),
-        ("unique-minimum init lies on manifold", str(bridge), bridge),
+        (f"commuting defect, {cfg.n} samples", f"{c.max_defect:.3e}", c.max_defect == 0.0),
+        (f"jacobian rank == dim on manifold, {cfg.n} samples", str(c.ranks_ok), c.ranks_ok),
+        ("rank drop with two zero nodes in a block", str(c.rank_one_block),
+         c.rank_one_block == cfg.dim - 1),
     ]
-    return 0 if _print_table(rows) else 1
+    if c.rank_two_blocks is not None:
+        rows.append(("rank drop with two zero nodes in two blocks", str(c.rank_two_blocks),
+                     c.rank_two_blocks == cfg.dim - 2))
+    rows += [
+        ("control counterexample defect", f"{c.control_defect:.3e}",
+         c.control_defect > COUNTEREXAMPLE_MIN_DEFECT),
+        ("unique-minimum init lies on manifold", str(c.init_on_manifold), c.init_on_manifold),
+    ]
+    return rows
 
 
 def main(argv=None) -> int:
-    command, cfg, diagnostics = _parse(build_parser(), argv)
+    command, cfg, output, diagnostics = _parse(build_parser(), argv)
     try:
         if command == "paramcheck":
-            return _cmd_paramcheck(cfg)
-        run = {"simulate": _cmd_simulate, "crossings": _cmd_crossings,
-               "convergence": _cmd_convergence, "bias": _cmd_bias}[command]
-        return run(cfg, diagnostics)
+            rows = _cmd_paramcheck(cfg)
+        else:
+            run = {"simulate": _cmd_simulate, "crossings": _cmd_crossings,
+                   "convergence": _cmd_convergence, "bias": _cmd_bias}[command]
+            write, diag, rows = run(cfg, diagnostics is not None)
+            # every check is built: the one place that writes the files
+            if output:
+                write(output)
+            if diagnostics:
+                diag.write(diagnostics)
+        return 0 if _print_table(rows) else 1
     except (DivergenceError, StepUnderflowError, NewtonError, TiedMinimumError,
             SingularMobilityError, np.linalg.LinAlgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import Trajectory
-from .model import LayerStack, mobility
+from .model import LayerStack
 
 NEAR_TIE_RTOL = 1e-9
 
@@ -188,23 +188,6 @@ def reconstruction_error(traj: Trajectory, idx: MinLayerIndex) -> float:
         np.max(np.abs(reconstruct_theta(part.layers[:, idx.layer, cols], perm) - part.thetas))
         for part in traj.blocks()
     ]))
-
-
-def mobility_diagonal(stack: LayerStack) -> np.ndarray:
-    """Diagonal linking theta's velocity to the negative loss gradient.
-
-    Entry i is ``sum_j prod_{k != j} u^k_i**2``.
-    """
-    return mobility(stack.layers)
-
-
-def mobility_inverse_diagonal(stack: LayerStack) -> np.ndarray:
-    m = mobility_diagonal(stack)
-    if np.any(m == 0.0):
-        raise SingularMobilityError(
-            "mobility diagonal has a zero entry (two zero nodes share a coordinate)"
-        )
-    return 1.0 / m
 
 
 def sigma_lower_bound(stack0: LayerStack, idx: MinLayerIndex) -> SigmaBound:

@@ -56,7 +56,6 @@ class ExperimentConfig:
     scheme: str = "uniform"
     scale: float = 1.0
     values: np.ndarray | None = None
-    output: str | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.dim < 1:
@@ -68,6 +67,11 @@ class ExperimentConfig:
 
     def init_scheme(self) -> InitScheme:
         return InitScheme(self.scheme, scale=self.scale, values=self.values)
+
+    def problem(self) -> tuple[QuadraticLoss, LayerStack]:
+        """The seeded loss and initial layers: data from ``seed``, layers from ``seed + 1``."""
+        return (make_problem(self.n, self.dim, self.seed),
+                init_layers(self.dim, self.layers, self.init_scheme(), seed=self.seed + 1))
 
 
 def make_problem(n: int, dim: int, seed: int, x_scale: float = 1.0,
@@ -149,16 +153,23 @@ class ConvergenceResult:
     time_to_target: float | None
     trajectory: Trajectory
 
+    def write(self, path) -> None:
+        """Write ``t,loss_gap,log_loss_gap,bound``; ``bound`` is the rate-bound curve."""
+        traj = self.trajectory
+        gaps = traj.losses - traj.optimum
+        bound = np.exp(-2.0 * self.sigma.sigma * self.mu * traj.times) * gaps[0]
+        log_gap = np.log(np.maximum(gaps, 1e-300))
+        write_rows_csv(path, ["t", "loss_gap", "log_loss_gap", "bound"],
+                       zip(traj.times, gaps, log_gap, bound))
+
 
 def run_convergence(cfg: ExperimentConfig, gap_target: float = GAP_TARGET) -> ConvergenceResult:
     """Integrate one seeded run and check the exponential rate bound.
 
     Uses the adaptive integrator: large initializations make the early
-    dynamic stiff. Writes ``t,loss_gap,log_loss_gap,bound`` when
-    ``cfg.output`` is set.
+    dynamic stiff.
     """
-    loss = make_problem(cfg.n, cfg.dim, cfg.seed)
-    stack0 = init_layers(cfg.dim, cfg.layers, cfg.init_scheme(), seed=cfg.seed + 1)
+    loss, stack0 = cfg.problem()
     idx = locate_min_layers(stack0)
     sigma = sigma_lower_bound(stack0, idx)
     mu = pl_constant(loss)
@@ -169,12 +180,6 @@ def run_convergence(cfg: ExperimentConfig, gap_target: float = GAP_TARGET) -> Co
     traj = integrate(stack0, loss, ctrl)
     rc = rate_check(traj, sigma.sigma, mu)
     ttg = time_to_gap(traj, gap_target)
-    if cfg.output:
-        gaps = traj.losses - traj.optimum
-        bound = np.exp(-2.0 * sigma.sigma * mu * traj.times) * gaps[0]
-        log_gap = np.log(np.maximum(gaps, 1e-300))
-        rows = zip(traj.times, gaps, log_gap, bound)
-        write_rows_csv(cfg.output, ["t", "loss_gap", "log_loss_gap", "bound"], rows)
     return ConvergenceResult(scale=cfg.scale, rate=rc, sigma=sigma, mu=mu,
                              time_to_target=ttg, trajectory=traj)
 
@@ -183,11 +188,8 @@ def convergence_scale_sweep(cfg: ExperimentConfig,
                             scales=(1.0, 1.4, 1.8),
                             gap_target: float = GAP_TARGET) -> list[ConvergenceResult]:
     """The same seed run at several initialization scales."""
-    out = []
-    for s in scales:
-        sub = replace(cfg, scale=float(s), output=None)
-        out.append(run_convergence(sub, gap_target=gap_target))
-    return out
+    return [run_convergence(replace(cfg, scale=float(s)), gap_target=gap_target)
+            for s in scales]
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +212,13 @@ class CrossingsResult:
 
 
 def run_crossings(cfg: ExperimentConfig, coordinate: int = 0) -> CrossingsResult:
-    """Track per-layer node paths and census their sign changes.
-
-    Writes the node paths (``CrossingsResult.write``) when ``cfg.output`` is
-    set.
-    """
-    loss = make_problem(cfg.n, cfg.dim, cfg.seed)
-    stack0 = init_layers(cfg.dim, cfg.layers, cfg.init_scheme(), seed=cfg.seed + 1)
+    """Track per-layer node paths and census their sign changes."""
+    loss, stack0 = cfg.problem()
     idx = locate_min_layers(stack0)
     ctrl = StepController(mode="fixed", h=cfg.step, t_max=cfg.t_max)
     traj = integrate(stack0, loss, ctrl)
-    result = CrossingsResult(census=sign_census(traj, idx), index=idx, trajectory=traj,
-                             coordinate=coordinate)
-    if cfg.output:
-        result.write(cfg.output)
-    return result
+    return CrossingsResult(census=sign_census(traj, idx), index=idx, trajectory=traj,
+                           coordinate=coordinate)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +358,11 @@ class BiasResult:
     def max_mismatch(self) -> float:
         return max(r.linf_mismatch for r in self.rows)
 
+    def write(self, path) -> None:
+        """Write ``alpha,l1_norm,l1_min,linf_mismatch``, one row per scale."""
+        write_rows_csv(path, ["alpha", "l1_norm", "l1_min", "linf_mismatch"],
+                       ([r.alpha, r.l1_norm, r.l1_min, r.linf_mismatch] for r in self.rows))
+
 
 def run_bias(cfg: ExperimentConfig, alphas=(1.0, 0.1, 0.01),
              model: str = "two_layer") -> BiasResult:
@@ -376,8 +375,6 @@ def run_bias(cfg: ExperimentConfig, alphas=(1.0, 0.1, 0.01),
     interpolator); the tied deep model draws a positive initialization and
     positive data. The flow runs adaptively until the loss gap falls below
     ``FLOW_LIMIT_GAP`` or ``cfg.t_max`` is reached.
-
-    Writes ``alpha,l1_norm,l1_min,linf_mismatch`` when ``cfg.output`` is set.
     """
     if cfg.n >= cfg.dim:
         raise ValueError("bias experiment expects an underdetermined instance (n < dim)")
@@ -424,10 +421,4 @@ def run_bias(cfg: ExperimentConfig, alphas=(1.0, 0.1, 0.01),
             trajectory=traj,
             entropy=entropy,
         ))
-    if cfg.output:
-        write_rows_csv(
-            cfg.output,
-            ["alpha", "l1_norm", "l1_min", "linf_mismatch"],
-            ([r.alpha, r.l1_norm, r.l1_min, r.linf_mismatch] for r in rows),
-        )
     return BiasResult(rows=tuple(rows), loss=loss)

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conservation import locate_min_layers
 from .flow import Trajectory
-from .model import LayerStack, leave_one_out_products
+from .model import InitScheme, LayerStack, init_layers, leave_one_out_products
 
 RANK_TOL = 1e-10
 
@@ -131,3 +132,59 @@ def trajectory_on_manifold(traj: Trajectory) -> bool:
         raise ValueError("trajectory is empty")
     zeros_per_block = (traj.layers == 0.0).sum(axis=1)  # (K, d)
     return bool(np.all(zeros_per_block <= 1))
+
+
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """What ``certify`` measured at one shape, with the value each field must have."""
+
+    max_defect: float            # commuting defect at random points: exactly 0
+    ranks_ok: bool               # rank == dim at every sampled point on the manifold
+    rank_one_block: int          # two zero nodes in block 1: dim - 1
+    rank_two_blocks: int | None  # and two in block 2 (dim >= 2): dim - 2
+    control_defect: float        # control map sharing a variable: clearly nonzero
+    init_on_manifold: bool       # a uniform init with unique minimal nodes is on it
+
+
+def certify(num_layers: int, dim: int, samples: int, seed: int) -> Certificate:
+    """Certify the product map at one shape from ``samples`` seeded draws.
+
+    Every other rank sample has one zero node in each block. The control map
+    ``(w1 w2, w1 w3)`` shares ``w1`` across outputs, so its commutator is
+    nonzero: it shows that the defect check can fail.
+    """
+    rng = np.random.default_rng(seed)
+    L, d = num_layers, dim
+
+    max_defect = 0.0
+    for _ in range(samples):
+        fp = FlatParams(rng.uniform(-2.0, 2.0, L * d), L, d)
+        i1, i2 = rng.integers(0, d, size=2)
+        max_defect = max(max_defect, commuting_defect(fp, int(i1), int(i2)))
+
+    ranks_ok = True
+    for k in range(samples):
+        w = rng.uniform(0.2, 2.0, L * d) * rng.choice([-1.0, 1.0], L * d)
+        if k % 2 == 1:
+            w.reshape(d, L)[np.arange(d), rng.integers(0, L, size=d)] = 0.0
+        ranks_ok &= jacobian_rank(FlatParams(w, L, d)) == d
+
+    w = rng.uniform(0.2, 2.0, L * d)
+    w[0] = w[1] = 0.0
+    rank_one_block = jacobian_rank(FlatParams(w, L, d))
+    rank_two_blocks = None
+    if d >= 2:
+        w[L] = w[L + 1] = 0.0
+        rank_two_blocks = jacobian_rank(FlatParams(w, L, d))
+
+    wc = rng.uniform(0.5, 1.5, 3)
+    g1 = np.array([wc[1], wc[0], 0.0])
+    g2 = np.array([wc[2], 0.0, wc[0]])
+    h1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    h2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    control_defect = float(np.max(np.abs(h1 @ g2 - h2 @ g1)))
+
+    stack0 = init_layers(d, L, InitScheme("uniform"), seed=seed)
+    bridge = locate_min_layers(stack0).holds and on_manifold(FlatParams.from_stack(stack0))
+    return Certificate(max_defect, bool(ranks_ok), rank_one_block, rank_two_blocks,
+                       control_defect, bridge)

@@ -12,18 +12,16 @@ import pytest
 
 from diagflow import (
     ExperimentConfig,
-    FlatParams,
     HyperbolicEntropy,
     InitScheme,
     LayerStack,
     PowerEntropy,
     StepController,
-    commuting_defect,
+    certify,
     conservation_defect,
     convergence_scale_sweep,
     init_layers,
     integrate,
-    jacobian_rank,
     locate_min_layers,
     make_problem,
     mirror_residual_closed_form,
@@ -179,45 +177,25 @@ def test_criterion_6_entropy_gradients():
 
 
 def test_criterion_7_parameterization_certification():
-    rng = np.random.default_rng(7)
-    max_defect = 0.0
-    for _ in range(200):
-        layers = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 5))
-        fp = FlatParams(rng.uniform(-2, 2, layers * d), layers, d)
-        i1, i2 = (int(k) for k in rng.integers(0, d, size=2))
-        max_defect = max(max_defect, commuting_defect(fp, i1, i2))
+    # every shape L = 2..5, d = 1..4, 100 samples each for the defect and the ranks
+    certs = {(layers, d): certify(layers, d, samples=100, seed=7)
+             for layers in range(2, 6) for d in range(1, 5)}
+    max_defect = max(c.max_defect for c in certs.values())
+    ranks_ok = all(c.ranks_ok for c in certs.values())
+    drops_ok = all(c.rank_one_block == d - 1
+                   and c.rank_two_blocks == (d - 2 if d >= 2 else None)
+                   for (_, d), c in certs.items())
+    control = min(c.control_defect for c in certs.values())
+    init_ok = all(c.init_on_manifold for c in certs.values())
 
-    layers, d = 4, 4
-    ranks_ok = True
-    for k in range(100):
-        w = rng.uniform(0.2, 2.0, layers * d) * rng.choice([-1.0, 1.0], layers * d)
-        blocks = w.reshape(d, layers)
-        if k % 2:
-            blocks[np.arange(d), rng.integers(0, layers, size=d)] = 0.0
-        ranks_ok &= jacobian_rank(FlatParams(blocks.reshape(-1), layers, d)) == d
-
-    w = rng.uniform(0.5, 1.5, layers * d)
-    w[0] = w[1] = 0.0
-    rank_single = jacobian_rank(FlatParams(w, layers, d))
-    w[layers] = w[layers + 1] = 0.0
-    rank_double = jacobian_rank(FlatParams(w, layers, d))
-
-    wc = rng.uniform(0.5, 1.5, 3)
-    g1 = np.array([wc[1], wc[0], 0.0])
-    g2 = np.array([wc[2], 0.0, wc[0]])
-    h1 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
-    h2 = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=float)
-    control = float(np.max(np.abs(h1 @ g2 - h2 @ g1)))
-
-    ok = (max_defect == 0.0 and ranks_ok and rank_single == d - 1
-          and rank_double == d - 2 and control > 1e-3)
+    ok = max_defect == 0.0 and ranks_ok and drops_ok and control > 1e-3 and init_ok
     _report(7, "product map certification", ok,
             f"defect {max_defect:.1e}, ranks ok {ranks_ok}, control {control:.2e}")
     assert max_defect == 0.0
     assert ranks_ok
-    assert rank_single == d - 1 and rank_double == d - 2
+    assert drops_ok
     assert control > 1e-3
+    assert init_ok
 
 
 def test_criterion_8_rate_bound_and_pl_inequality(seeded_runs):

@@ -58,12 +58,15 @@ def test_vanishing_mobility_is_an_error_not_a_traceback(tmp_path, monkeypatch, c
     assert "at most one zero node per coordinate" in err
 
 
-def test_failed_simulate_writes_no_file(tmp_path, monkeypatch, capsys):
-    # the diagnostics fail on two zero layers, so neither output may appear
+@pytest.mark.parametrize("command", ["simulate", "crossings", "convergence"])
+def test_failed_run_writes_no_file(tmp_path, monkeypatch, capsys, command):
+    # two zero nodes in a coordinate: the diagnostics of simulate and
+    # crossings fail, convergence's sigma bound raises TiedMinimumError; a
+    # failed run writes neither file
     monkeypatch.chdir(tmp_path)
     weights = tmp_path / "init.txt"
     weights.write_text("0 0 0\n0 0 0\n0.5 1 2\n", encoding="utf-8")
-    code = main(["simulate", "--layers", "3", "--dim", "3", "--tmax", "0.1",
+    code = main([command, "--layers", "3", "--dim", "3", "--tmax", "0.1",
                  "--init-scheme", "explicit", "--init-file", str(weights),
                  "--output", "o.csv", "--diagnostics", "d.csv"])
     assert code == 1
@@ -220,16 +223,3 @@ def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch, 
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
-
-def test_failed_crossings_writes_no_file(tmp_path, monkeypatch, capsys):
-    # the diagnostics fail on two zero layers, so neither output may appear
-    monkeypatch.chdir(tmp_path)
-    weights = tmp_path / "init.txt"
-    weights.write_text("0 0 0\n0 0 0\n0.5 1 2\n", encoding="utf-8")
-    code = main(["crossings", "--layers", "3", "--dim", "3", "--tmax", "0.1",
-                 "--init-scheme", "explicit", "--init-file", str(weights),
-                 "--output", "c.csv", "--diagnostics", "d.csv"])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
-    assert not (tmp_path / "c.csv").exists()
-    assert not (tmp_path / "d.csv").exists()

@@ -10,7 +10,6 @@ from diagflow import (
     LayerStack,
     PermutedStack,
     QuadraticLoss,
-    SingularMobilityError,
     StepController,
     Trajectory,
     conservation_defect,
@@ -20,15 +19,13 @@ from diagflow import (
     make_problem,
     min_layer_permutation,
     mirror_residual_general,
-    mobility_diagonal,
-    mobility_inverse_diagonal,
+    mobility,
     reconstruct_theta,
     reconstruction_error,
     sigma_lower_bound,
     sign_census,
 )
 from diagflow.flow import SNAPSHOT_BLOCK
-from diagflow.model import mobility
 
 
 @pytest.fixture(scope="module")
@@ -206,19 +203,11 @@ def test_reconstruct_theta_negative_radicand():
 
 def test_mobility_diagonal_values():
     assert np.array_equal(
-        mobility_diagonal(LayerStack([[1.0, 2.0], [3.0, 4.0]])), [10.0, 20.0]
+        mobility(np.array([[1.0, 2.0], [3.0, 4.0]])), [10.0, 20.0]
     )
     assert np.array_equal(
-        mobility_diagonal(LayerStack([[1.0], [2.0], [3.0]])), [49.0]
+        mobility(np.array([[1.0], [2.0], [3.0]])), [49.0]
     )
-
-
-def test_mobility_inverse_and_singularity():
-    stack = LayerStack([[1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(SingularMobilityError):
-        mobility_inverse_diagonal(stack)
-    good = LayerStack([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(mobility_inverse_diagonal(good), [0.1, 0.05], rtol=1e-15)
 
 
 def test_sigma_lower_bound_values():
@@ -244,7 +233,7 @@ def test_mobility_dominates_sigma_bound_along_flow(deep_run):
     bound = sigma_lower_bound(stack0, idx)
     slack = 1e-9 * max(1.0, float(bound.per_coordinate.max()))
     for k in range(0, len(traj), 50):
-        m = mobility_diagonal(traj.stack_at(k))
+        m = mobility(traj.layers[k])
         assert np.all(m >= bound.per_coordinate - slack)
         assert m.min() >= bound.sigma - slack
 
@@ -259,7 +248,7 @@ def test_mobility_bound_sweep():
         bound = sigma_lower_bound(stack0, idx)
         traj = integrate(stack0, loss, StepController(t_max=2.0))
         for k in range(0, len(traj), 25):
-            assert mobility_diagonal(traj.stack_at(k)).min() >= bound.sigma - 1e-9
+            assert mobility(traj.layers[k]).min() >= bound.sigma - 1e-9
 
 
 # The diagnostics as whole-trajectory formulas, before they walked the

@@ -104,10 +104,11 @@ def test_time_to_gap():
 def test_run_convergence_and_csv(tmp_path):
     out = tmp_path / "gap.csv"
     cfg = ExperimentConfig(n=8, dim=5, layers=4, seed=1, t_max=200.0,
-                           scheme="zero_first", scale=1.2, output=str(out))
+                           scheme="zero_first", scale=1.2)
     res = run_convergence(cfg)
     assert res.rate.violations == 0
     assert res.time_to_target is not None
+    res.write(out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,loss_gap,log_loss_gap,bound"
     first = lines[1].split(",")
@@ -127,9 +128,10 @@ def test_convergence_scale_sweep_ordering():
 
 def test_run_crossings(tmp_path):
     out = tmp_path / "nodes.csv"
-    cfg = ExperimentConfig(n=10, dim=5, layers=4, seed=3, t_max=5.0, output=str(out))
+    cfg = ExperimentConfig(n=10, dim=5, layers=4, seed=3, t_max=5.0)
     res = run_crossings(cfg)
     assert res.census.ok
+    res.write(out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,u_1_1,u_2_1,u_3_1,u_4_1"
     assert len(lines) == len(res.trajectory) + 1
@@ -236,7 +238,7 @@ def test_min_l1_norm_errors():
 
 def test_run_bias_two_layer(tmp_path):
     out = tmp_path / "bias.csv"
-    cfg = ExperimentConfig(n=2, dim=4, layers=2, seed=14, t_max=1e4, output=str(out))
+    cfg = ExperimentConfig(n=2, dim=4, layers=2, seed=14, t_max=1e4)
     res = run_bias(cfg, alphas=(1.0, 0.1))
     assert res.max_mismatch <= 1e-3
     for row in res.rows:
@@ -244,6 +246,7 @@ def test_run_bias_two_layer(tmp_path):
         assert row.l1_norm >= row.l1_min - 1e-9
     # smaller initialization hugs the minimal-L1 interpolator more tightly
     assert res.rows[1].l1_norm - res.rows[1].l1_min <= res.rows[0].l1_norm - res.rows[0].l1_min
+    res.write(out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "alpha,l1_norm,l1_min,linf_mismatch"
     assert len(lines) == 3
