@@ -204,10 +204,8 @@ def _cmd_crossings(cfg: ExperimentConfig, want_diag: bool):
 
 def _cmd_convergence(cfg: ExperimentConfig, want_diag: bool):
     result = run_convergence(cfg)
-    diag = None
-    if want_diag:
-        idx = locate_min_layers(result.trajectory.stack_at(0))
-        diag = build_diagnostics(result.trajectory, idx=idx, rate=result.rate)
+    diag = (build_diagnostics(result.trajectory, idx=result.index, rate=result.rate)
+            if want_diag else None)
     ttg = result.time_to_target
     rows = [
         ("sigma lower bound", f"{result.sigma.sigma:.6g}", None),

@@ -3,8 +3,9 @@
 Three reproducible desk-scale experiments plus the numerical tools they
 need (the smallest-nonzero-eigenvalue PL constant, the exponential rate
 check, a damped Newton solver for the constrained-entropy first-order
-system, and an exact support-enumeration minimal-L1 oracle). Every run is
-deterministic given its configuration.
+system, and an exact minimal-L1 oracle that screens every basis by batched
+solves and rescans the near-optimal ones support by support). Every run
+is deterministic given its configuration.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ FLOW_LIMIT_GAP = 1e-10
 
 # Enumeration guard for the minimal-L1 oracle.
 _MAX_L1_DIM = 16
+# Bases screened per batched solve, and the relative distance from the
+# screened minimum within which a basis is rescanned exactly.
+_L1_CHUNK = 4096
+_L1_WINDOW = 1e-9
 
 
 class NewtonError(RuntimeError):
@@ -149,6 +154,7 @@ class ConvergenceResult:
     scale: float
     rate: RateCheck
     sigma: SigmaBound
+    index: MinLayerIndex
     mu: float
     time_to_target: float | None
     trajectory: Trajectory
@@ -180,7 +186,7 @@ def run_convergence(cfg: ExperimentConfig, gap_target: float = GAP_TARGET) -> Co
     traj = integrate(stack0, loss, ctrl)
     rc = rate_check(traj, sigma.sigma, mu)
     ttg = time_to_gap(traj, gap_target)
-    return ConvergenceResult(scale=cfg.scale, rate=rc, sigma=sigma, mu=mu,
+    return ConvergenceResult(scale=cfg.scale, rate=rc, sigma=sigma, index=idx, mu=mu,
                              time_to_target=ttg, trajectory=traj)
 
 
@@ -295,14 +301,31 @@ def solve_kkt(loss: QuadraticLoss, entropy, tol: float = 1e-10,
                       float(np.max(np.abs(f))))
 
 
+def _support_value(X: np.ndarray, y: np.ndarray, support: list,
+                   tol: float) -> tuple[float, np.ndarray] | None:
+    """L1 value and coefficients of the least-squares fit on ``support``, if it interpolates."""
+    theta_s, *_ = np.linalg.lstsq(X[:, support], y, rcond=None)
+    if float(np.max(np.abs(X[:, support] @ theta_s - y))) > tol:
+        return None
+    return float(np.sum(np.abs(theta_s))), theta_s
+
+
 def min_l1_norm(X: np.ndarray, y: np.ndarray,
                 feas_tol: float = 1e-9) -> tuple[float, np.ndarray]:
     """Exact minimal L1 norm over ``{theta : X theta = y}`` at desk scale.
 
-    Enumerates candidate supports of size at most n (the minimum is
-    attained on such a vertex), solves each equality-constrained
-    subproblem, and keeps the best feasible one. Exact but exponential in
-    the dimension; guarded accordingly.
+    The minimum of this LP is attained at a basic feasible solution, and
+    every feasible support with independent columns extends to a basis of
+    the same value. So the search screens all ``r``-column bases at once,
+    ``r`` the numerical rank of X, by batched solves of the system reduced
+    to its ``r`` independent rows. It then rescans every subset of the
+    bases whose screened value lies within a relative ``_L1_WINDOW`` of the
+    smallest, support size ascending, then lexicographic, by a least-squares
+    fit on the original X and a strict ``<``. That is the order and the
+    check of a full enumeration of supports of size at most n, so the
+    returned value and theta are the enumeration's, bit for bit, whenever
+    the minimizer is unique. Exponential in the dimension; guarded
+    accordingly.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -310,23 +333,36 @@ def min_l1_norm(X: np.ndarray, y: np.ndarray,
     if d > _MAX_L1_DIM:
         raise ValueError(f"support enumeration is desk-scale only (dim <= {_MAX_L1_DIM})")
     y_scale = 1.0 + float(np.max(np.abs(y))) if y.size else 1.0
+    tol = feas_tol * y_scale
+    if not y.size or float(np.max(np.abs(y))) <= tol:  # the empty support: nothing beats 0
+        return 0.0, np.zeros(d)
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    r = int(np.sum(s > s.max(initial=0.0) * max(n, d) * np.finfo(float).eps))
+    X_r = s[:r, None] * Vt[:r]          # (r, d): the r independent rows
+    y_r = U[:, :r].T @ y
+    bases = np.array(list(itertools.combinations(range(d), r)), dtype=np.intp)
+    values = np.empty(len(bases))
+    for lo in range(0, len(bases), _L1_CHUNK):
+        b = bases[lo:lo + _L1_CHUNK]
+        A = X_r.T[b].transpose(0, 2, 1)  # (m, r, r): A[i] = X_r[:, b[i]]
+        rhs = np.broadcast_to(y_r[:, None], (len(b), r, 1))
+        try:
+            theta = np.linalg.solve(A, rhs)[..., 0]
+        except np.linalg.LinAlgError:    # an exactly singular basis in the chunk
+            theta = (np.linalg.pinv(A) @ rhs)[..., 0]
+        res = np.max(np.abs(np.einsum("mrn,mr->mn", X.T[b], theta) - y), axis=1)
+        values[lo:lo + _L1_CHUNK] = np.where(res <= tol, np.sum(np.abs(theta), axis=1), math.inf)
+    near = bases[np.isfinite(values) & (values <= np.min(values) * (1.0 + _L1_WINDOW))]
+    supports = {sub for basis in near.tolist()
+                for k in range(1, r + 1) for sub in itertools.combinations(basis, k)}
     best = math.inf
     best_theta: np.ndarray | None = None
-    for k in range(0, min(n, d) + 1):
-        for support in itertools.combinations(range(d), k):
-            s = list(support)
-            if k == 0:
-                theta_s = np.zeros(0)
-                res = float(np.max(np.abs(y))) if y.size else 0.0
-            else:
-                theta_s, *_ = np.linalg.lstsq(X[:, s], y, rcond=None)
-                res = float(np.max(np.abs(X[:, s] @ theta_s - y)))
-            if res <= feas_tol * y_scale:
-                value = float(np.sum(np.abs(theta_s)))
-                if value < best:
-                    best = value
-                    best_theta = np.zeros(d)
-                    best_theta[s] = theta_s
+    for support in sorted(supports, key=lambda sub: (len(sub), sub)):
+        found = _support_value(X, y, list(support), tol)
+        if found is not None and found[0] < best:
+            best, theta_s = found
+            best_theta = np.zeros(d)
+            best_theta[list(support)] = theta_s
     if best_theta is None:
         raise ValueError("no feasible support found: y is not in the range of X")
     return best, best_theta

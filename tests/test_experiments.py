@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,9 @@ def test_run_convergence_and_csv(tmp_path):
     res = run_convergence(cfg)
     assert res.rate.violations == 0
     assert res.time_to_target is not None
+    idx = locate_min_layers(res.trajectory.stack_at(0))
+    assert np.array_equal(res.index.layer, idx.layer)
+    assert np.array_equal(res.index.unique, idx.unique)
     res.write(out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,loss_gap,log_loss_gap,bound"
@@ -230,10 +236,124 @@ def test_min_l1_norm_dominates_random_feasible_points():
 
 
 def test_min_l1_norm_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"desk-scale only \(dim <= 16\)"):
+        min_l1_norm(np.ones((2, 17)), np.ones(2))
+    with pytest.raises(ValueError, match="desk-scale only"):
         min_l1_norm(np.ones((2, 20)), np.ones(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="y is not in the range of X"):
         min_l1_norm(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0]))
+
+
+def _enumerate_min_l1(X, y, feas_tol=1e-9):
+    """Reference: every support of size at most n, least squares, strict ``<``."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    y_scale = 1.0 + float(np.max(np.abs(y))) if y.size else 1.0
+    best = math.inf
+    best_theta = None
+    for k in range(0, min(n, d) + 1):
+        for support in itertools.combinations(range(d), k):
+            s = list(support)
+            if k == 0:
+                theta_s = np.zeros(0)
+                res = float(np.max(np.abs(y))) if y.size else 0.0
+            else:
+                theta_s, *_ = np.linalg.lstsq(X[:, s], y, rcond=None)
+                res = float(np.max(np.abs(X[:, s] @ theta_s - y)))
+            if res <= feas_tol * y_scale:
+                value = float(np.sum(np.abs(theta_s)))
+                if value < best:
+                    best = value
+                    best_theta = np.zeros(d)
+                    best_theta[s] = theta_s
+    if best_theta is None:
+        raise ValueError("no feasible support found: y is not in the range of X")
+    return best, best_theta
+
+
+def _outcome(fn, X, y):
+    try:
+        return fn(X, y)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_min_l1_norm_equals_support_enumeration_bit_for_bit():
+    shapes = [(1, 3), (2, 4), (2, 7), (3, 6), (3, 9), (4, 8), (5, 10), (6, 10), (4, 4), (6, 3)]
+    cases = [(make_problem(n, d, seed).X, make_problem(n, d, seed).y)
+             for n, d in shapes for seed in range(3)]
+    # a consistent overdetermined target: the old loop's supports stop at size d
+    X = make_problem(6, 3, 5).X
+    cases.append((X, X @ np.array([0.5, -1.0, 2.0])))
+    cases.append((make_problem(8, 16, 11).X, make_problem(8, 16, 11).y))
+    for X, y in cases:
+        expected, got = _outcome(_enumerate_min_l1, X, y), _outcome(min_l1_norm, X, y)
+        if isinstance(expected, str):  # random y with n > d: no interpolant
+            assert got == expected
+        else:
+            assert got[0] == expected[0]
+            assert np.array_equal(got[1], expected[1])
+
+
+def test_min_l1_norm_degenerate_integer_instances():
+    # duplicate and zero columns, repeated rows, inconsistent targets: on
+    # tied LPs the two searches may return different minimizers
+    rng = np.random.default_rng(21)
+    for _ in range(150):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        X = rng.integers(-2, 3, (n, d)).astype(float)
+        if d > 1 and rng.random() < 0.3:
+            X[:, 1] = X[:, 0]
+        if rng.random() < 0.3:
+            X[:, -1] = 0.0
+        if n > 1 and rng.random() < 0.3:
+            X[-1] = X[0]
+        if rng.random() < 0.5:
+            y = X @ rng.integers(-2, 3, d)
+        else:
+            y = rng.integers(-2, 3, n).astype(float)
+        expected, got = _outcome(_enumerate_min_l1, X, y), _outcome(min_l1_norm, X, y)
+        if isinstance(expected, str) or isinstance(got, str):
+            assert got == expected
+            continue
+        assert got[0] == pytest.approx(expected[0], rel=1e-12, abs=0.0)
+        assert np.max(np.abs(X @ got[1] - y), initial=0.0) <= 1e-9 * (1.0 + np.max(np.abs(y)))
+        assert np.sum(np.abs(got[1])) == got[0]
+
+
+def test_min_l1_norm_edge_cases():
+    value, theta = min_l1_norm(np.zeros((2, 3)), np.zeros(2))
+    assert value == 0.0
+    assert np.array_equal(theta, np.zeros(3))
+    with pytest.raises(ValueError, match="y is not in the range of X"):
+        min_l1_norm(np.zeros((2, 3)), np.array([1.0, 0.0]))
+    # d = 1: the one coefficient is forced
+    value, theta = min_l1_norm(np.array([[2.0], [-4.0]]), np.array([3.0, -6.0]))
+    assert value == pytest.approx(1.5, rel=1e-15)
+    np.testing.assert_allclose(theta, [1.5], rtol=1e-15)
+    # n > d with a consistent target
+    value, theta = min_l1_norm(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                               np.array([1.0, -2.0, -1.0]))
+    assert value == pytest.approx(3.0, abs=1e-12)
+    np.testing.assert_allclose(theta, [1.0, -2.0], atol=1e-12)
+    with pytest.raises(ValueError, match="y is not in the range of X"):
+        min_l1_norm(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0, 3.0]))
+
+
+def test_min_l1_norm_agrees_with_linprog():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(22)
+    for n, d in [(1, 4), (2, 6), (3, 9), (5, 12), (4, 16), (8, 16)]:
+        X = rng.uniform(-1.0, 1.0, (n, d))
+        y = rng.uniform(-1.0, 1.0, n)
+        value, theta = min_l1_norm(X, y)
+        # theta = p - q with p, q >= 0; minimize sum(p + q)
+        lp = optimize.linprog(np.ones(2 * d), A_eq=np.hstack([X, -X]), b_eq=y,
+                              bounds=(0, None), method="highs")
+        assert lp.status == 0
+        assert value == pytest.approx(lp.fun, rel=1e-9)
+        assert np.max(np.abs(X @ theta - y)) <= 1e-9
 
 
 def test_run_bias_two_layer(tmp_path):
