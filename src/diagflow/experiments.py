@@ -34,9 +34,10 @@ FLOW_LIMIT_GAP = 1e-10
 
 # Enumeration guard for the minimal-L1 oracle.
 _MAX_L1_DIM = 16
-# Bases screened per batched solve, and the relative distance from the
-# screened minimum within which a basis is rescanned exactly.
-_L1_CHUNK = 4096
+# Bases screened per batched solve (larger chunks only add temporaries),
+# and the relative distance from the screened minimum within which a basis
+# is rescanned exactly.
+_L1_CHUNK = 1024
 _L1_WINDOW = 1e-9
 
 
@@ -334,15 +335,18 @@ def min_l1_norm(X: np.ndarray, y: np.ndarray,
         raise ValueError(f"support enumeration is desk-scale only (dim <= {_MAX_L1_DIM})")
     y_scale = 1.0 + float(np.max(np.abs(y))) if y.size else 1.0
     tol = feas_tol * y_scale
-    if not y.size or float(np.max(np.abs(y))) <= tol:  # the empty support: nothing beats 0
+    if not y.size or float(np.max(np.abs(y))) <= tol:  # the empty support interpolates
         return 0.0, np.zeros(d)
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    r = int(np.sum(s > s.max(initial=0.0) * max(n, d) * np.finfo(float).eps))
-    X_r = s[:r, None] * Vt[:r]          # (r, d): the r independent rows
+    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+    r = int(np.sum(sv > sv.max(initial=0.0) * max(n, d) * np.finfo(float).eps))
+    X_r = sv[:r, None] * Vt[:r]          # (r, d): the r independent rows
     y_r = U[:, :r].T @ y
-    bases = np.array(list(itertools.combinations(range(d), r)), dtype=np.intp)
-    values = np.empty(len(bases))
-    for lo in range(0, len(bases), _L1_CHUNK):
+    # one row of column indices per basis; uint8 holds any index below _MAX_L1_DIM
+    m = math.comb(d, r)
+    bases = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(d), r)),
+                        dtype=np.uint8, count=m * r).reshape(m, r)
+    values = np.empty(m)
+    for lo in range(0, m, _L1_CHUNK):
         b = bases[lo:lo + _L1_CHUNK]
         A = X_r.T[b].transpose(0, 2, 1)  # (m, r, r): A[i] = X_r[:, b[i]]
         rhs = np.broadcast_to(y_r[:, None], (len(b), r, 1))
@@ -358,11 +362,12 @@ def min_l1_norm(X: np.ndarray, y: np.ndarray,
     best = math.inf
     best_theta: np.ndarray | None = None
     for support in sorted(supports, key=lambda sub: (len(sub), sub)):
-        found = _support_value(X, y, list(support), tol)
+        s = list(support)
+        found = _support_value(X, y, s, tol)
         if found is not None and found[0] < best:
             best, theta_s = found
             best_theta = np.zeros(d)
-            best_theta[list(support)] = theta_s
+            best_theta[s] = theta_s
     if best_theta is None:
         raise ValueError("no feasible support found: y is not in the range of X")
     return best, best_theta

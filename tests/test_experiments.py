@@ -281,12 +281,12 @@ def _outcome(fn, X, y):
 
 def test_min_l1_norm_equals_support_enumeration_bit_for_bit():
     shapes = [(1, 3), (2, 4), (2, 7), (3, 6), (3, 9), (4, 8), (5, 10), (6, 10), (4, 4), (6, 3)]
-    cases = [(make_problem(n, d, seed).X, make_problem(n, d, seed).y)
-             for n, d in shapes for seed in range(3)]
+    problems = [make_problem(n, d, seed) for n, d in shapes for seed in range(3)]
+    problems.append(make_problem(8, 16, 11))
+    cases = [(p.X, p.y) for p in problems]
     # a consistent overdetermined target: the old loop's supports stop at size d
     X = make_problem(6, 3, 5).X
     cases.append((X, X @ np.array([0.5, -1.0, 2.0])))
-    cases.append((make_problem(8, 16, 11).X, make_problem(8, 16, 11).y))
     for X, y in cases:
         expected, got = _outcome(_enumerate_min_l1, X, y), _outcome(min_l1_norm, X, y)
         if isinstance(expected, str):  # random y with n > d: no interpolant
