@@ -14,8 +14,7 @@ consequences are implemented here:
 
 The uniqueness precondition for all of this is that each coordinate's
 minimal-absolute-value node is unique across layers at initialization;
-``locate_min_layers`` checks it (exact ties) and additionally flags
-near-ties, which make the rate bound degenerate in practice.
+``locate_min_layers`` checks it by exact float equality.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ import numpy as np
 
 from .flow import Trajectory
 from .model import LayerStack
-
-NEAR_TIE_RTOL = 1e-9
 
 
 class TiedMinimumError(ValueError):
@@ -43,9 +40,8 @@ class SingularMobilityError(RuntimeError):
 class MinLayerIndex:
     """Per-coordinate location of the minimal-|weight| node at t=0."""
 
-    layer: np.ndarray     # (d,) int, argmin over layers of |u(0)|
-    unique: np.ndarray    # (d,) bool, exactly one argmin
-    near_tie: np.ndarray  # (d,) bool, runner-up within NEAR_TIE_RTOL
+    layer: np.ndarray   # (d,) int, argmin over layers of |u(0)|
+    unique: np.ndarray  # (d,) bool, exactly one argmin
 
     @property
     def holds(self) -> bool:
@@ -75,8 +71,8 @@ class SigmaBound:
     per_coordinate: np.ndarray  # (d,)
 
 
-def locate_min_layers(stack0: LayerStack, near_tie_rtol: float = NEAR_TIE_RTOL) -> MinLayerIndex:
-    """Find each coordinate's minimal-|weight| layer; detect (near-)ties.
+def locate_min_layers(stack0: LayerStack) -> MinLayerIndex:
+    """Find each coordinate's minimal-|weight| layer and detect ties.
 
     Tie detection uses exact float equality; a violation is reported in the
     result, not raised.
@@ -85,10 +81,7 @@ def locate_min_layers(stack0: LayerStack, near_tie_rtol: float = NEAR_TIE_RTOL) 
     m = a.min(axis=0)
     layer = np.argmin(a, axis=0)
     unique = (a == m).sum(axis=0) == 1
-    s = np.sort(a, axis=0)
-    denom = np.maximum(s[1], np.finfo(float).tiny)
-    near_tie = (s[1] - s[0]) < near_tie_rtol * denom
-    return MinLayerIndex(layer=layer, unique=unique, near_tie=near_tie)
+    return MinLayerIndex(layer=layer, unique=unique)
 
 
 def conservation_defect(traj: Trajectory) -> np.ndarray:

@@ -32,8 +32,10 @@ from .report import write_rows_csv
 GAP_TARGET = 1e-6
 FLOW_LIMIT_GAP = 1e-10
 
-# Enumeration guard for the minimal-L1 oracle.
+# Enumeration guard for the minimal-L1 oracle, and its feasibility
+# tolerance relative to the target's scale.
 _MAX_L1_DIM = 16
+_L1_FEAS_TOL = 1e-9
 # Bases screened per batched solve (larger chunks only add temporaries),
 # and the relative distance from the screened minimum within which a basis
 # is rescanned exactly.
@@ -70,6 +72,9 @@ class ExperimentConfig:
             raise ValueError("at least 2 layers are required")
         if self.t_max <= 0 or self.step <= 0:
             raise ValueError("t_max and step must be positive")
+        if self.values is not None and np.shape(self.values) != (self.layers, self.dim):
+            raise ValueError(f"explicit values have shape {np.shape(self.values)}, "
+                             f"expected ({self.layers}, {self.dim})")
 
     def init_scheme(self) -> InitScheme:
         return InitScheme(self.scheme, scale=self.scale, values=self.values)
@@ -122,18 +127,16 @@ class RateCheck:
         return self.violations == 0
 
 
-def rate_check(traj: Trajectory, sigma: float, mu: float,
-               atol: float | None = None) -> RateCheck:
+def rate_check(traj: Trajectory, sigma: float, mu: float) -> RateCheck:
     """Count grid times where the gap exceeds ``exp(-2 sigma mu t) * gap0``.
 
     ``atol`` absorbs the float noise of ``loss - optimal_value`` once the
-    gap reaches the rounding floor of the subtraction; it defaults to
-    1e-12 times the loss scale and is far below any gap of interest.
+    gap reaches the rounding floor of the subtraction: 1e-12 times the loss
+    scale, far below any gap of interest.
     """
     gaps = traj.losses - traj.optimum
     gap0 = float(gaps[0])
-    if atol is None:
-        atol = 1e-12 * max(float(traj.losses[0]), traj.optimum, 1.0)
+    atol = 1e-12 * max(float(traj.losses[0]), traj.optimum, 1.0)
     bound = np.exp(-2.0 * sigma * mu * traj.times) * gap0
     violations = int(np.sum(gaps > bound + atol))
     return RateCheck(sigma=float(sigma), mu=float(mu), gap0=gap0,
@@ -170,11 +173,12 @@ class ConvergenceResult:
                        zip(traj.times, gaps, log_gap, bound))
 
 
-def run_convergence(cfg: ExperimentConfig, gap_target: float = GAP_TARGET) -> ConvergenceResult:
+def run_convergence(cfg: ExperimentConfig) -> ConvergenceResult:
     """Integrate one seeded run and check the exponential rate bound.
 
     Uses the adaptive integrator: large initializations make the early
-    dynamic stiff.
+    dynamic stiff. ``time_to_target`` is the first time the gap reaches
+    ``GAP_TARGET``.
     """
     loss, stack0 = cfg.problem()
     idx = locate_min_layers(stack0)
@@ -183,20 +187,18 @@ def run_convergence(cfg: ExperimentConfig, gap_target: float = GAP_TARGET) -> Co
     # t_max is a safety horizon; normally the run ends once the gap falls
     # three decades below the reporting target
     ctrl = StepController(mode="adaptive", h=cfg.step, t_max=cfg.t_max,
-                          stop_gap=gap_target * 1e-3)
+                          stop_gap=GAP_TARGET * 1e-3)
     traj = integrate(stack0, loss, ctrl)
     rc = rate_check(traj, sigma.sigma, mu)
-    ttg = time_to_gap(traj, gap_target)
+    ttg = time_to_gap(traj, GAP_TARGET)
     return ConvergenceResult(scale=cfg.scale, rate=rc, sigma=sigma, index=idx, mu=mu,
                              time_to_target=ttg, trajectory=traj)
 
 
 def convergence_scale_sweep(cfg: ExperimentConfig,
-                            scales=(1.0, 1.4, 1.8),
-                            gap_target: float = GAP_TARGET) -> list[ConvergenceResult]:
+                            scales=(1.0, 1.4, 1.8)) -> list[ConvergenceResult]:
     """The same seed run at several initialization scales."""
-    return [run_convergence(replace(cfg, scale=float(s)), gap_target=gap_target)
-            for s in scales]
+    return [run_convergence(replace(cfg, scale=float(s))) for s in scales]
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +210,22 @@ class CrossingsResult:
     census: SignCensus
     index: MinLayerIndex
     trajectory: Trajectory
-    coordinate: int
 
     def write(self, path) -> None:
-        """Write ``t,u_1_i,...,u_L_i`` for the tracked coordinate (1-based in the header)."""
-        traj, i = self.trajectory, self.coordinate
-        header = ["t"] + [f"u_{j}_{i + 1}" for j in range(1, traj.num_layers + 1)]
-        write_rows_csv(path, header, ([traj.times[k], *traj.layers[k, :, i]]
+        """Write ``t,u_1_1,...,u_L_1``: every layer's node of the first coordinate."""
+        traj = self.trajectory
+        header = ["t"] + [f"u_{j}_1" for j in range(1, traj.num_layers + 1)]
+        write_rows_csv(path, header, ([traj.times[k], *traj.layers[k, :, 0]]
                                       for k in range(len(traj))))
 
 
-def run_crossings(cfg: ExperimentConfig, coordinate: int = 0) -> CrossingsResult:
+def run_crossings(cfg: ExperimentConfig) -> CrossingsResult:
     """Track per-layer node paths and census their sign changes."""
     loss, stack0 = cfg.problem()
     idx = locate_min_layers(stack0)
     ctrl = StepController(mode="fixed", h=cfg.step, t_max=cfg.t_max)
     traj = integrate(stack0, loss, ctrl)
-    return CrossingsResult(census=sign_census(traj, idx), index=idx, trajectory=traj,
-                           coordinate=coordinate)
+    return CrossingsResult(census=sign_census(traj, idx), index=idx, trajectory=traj)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +311,7 @@ def _support_value(X: np.ndarray, y: np.ndarray, support: list,
     return float(np.sum(np.abs(theta_s))), theta_s
 
 
-def min_l1_norm(X: np.ndarray, y: np.ndarray,
-                feas_tol: float = 1e-9) -> tuple[float, np.ndarray]:
+def min_l1_norm(X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact minimal L1 norm over ``{theta : X theta = y}`` at desk scale.
 
     The minimum of this LP is attained at a basic feasible solution, and
@@ -325,8 +324,9 @@ def min_l1_norm(X: np.ndarray, y: np.ndarray,
     fit on the original X and a strict ``<``. That is the order and the
     check of a full enumeration of supports of size at most n, so the
     returned value and theta are the enumeration's, bit for bit, whenever
-    the minimizer is unique. Exponential in the dimension; guarded
-    accordingly.
+    the minimizer is unique. A fit interpolates when its residual is at
+    most ``_L1_FEAS_TOL`` times ``1 + max|y|``. Exponential in the
+    dimension; guarded accordingly.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -334,7 +334,7 @@ def min_l1_norm(X: np.ndarray, y: np.ndarray,
     if d > _MAX_L1_DIM:
         raise ValueError(f"support enumeration is desk-scale only (dim <= {_MAX_L1_DIM})")
     y_scale = 1.0 + float(np.max(np.abs(y))) if y.size else 1.0
-    tol = feas_tol * y_scale
+    tol = _L1_FEAS_TOL * y_scale
     if not y.size or float(np.max(np.abs(y))) <= tol:  # the empty support interpolates
         return 0.0, np.zeros(d)
     U, sv, Vt = np.linalg.svd(X, full_matrices=False)

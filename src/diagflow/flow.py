@@ -30,6 +30,9 @@ DIVERGENCE_LIMIT = 1e12
 
 _MIN_STEP_FRACTION = 1e-14
 
+# Adaptive mode's per-component error tolerances, relative and absolute.
+_RTOL, _ATOL = 1e-8, 1e-10
+
 # Snapshots a diagnostic holds at once (``Trajectory.blocks``), so that its
 # temporaries are O(block * L * d) however long the trajectory is.
 SNAPSHOT_BLOCK = 256
@@ -55,10 +58,10 @@ class StepUnderflowError(RuntimeError):
 class StepController:
     """Integrator settings.
 
-    ``mode`` is ``"fixed"`` (RK4 with step ``h``) or ``"adaptive"``
-    (step-doubling error control starting from ``h``). ``max_points`` caps
-    the number of stored snapshots; the dual-variable quadrature always runs
-    on the undecimated grid. A fixed-step run without ``stop_gap`` knows its
+    ``mode`` is ``"fixed"`` (RK4 with step ``h``) or ``"adaptive"`` (step
+    doubling from ``h``, to ``_RTOL`` = 1e-8 and ``_ATOL`` = 1e-10). ``max_points``
+    caps the number of stored snapshots; the dual-variable quadrature always
+    runs on the undecimated grid. A fixed-step run without ``stop_gap`` knows its
     grid in advance, so it holds only the O(``max_points``) snapshots it
     returns; adaptive and ``stop_gap`` runs record every accepted step and
     decimate at the end. Both keep the same rows. ``stop_gap``, when set,
@@ -67,8 +70,6 @@ class StepController:
 
     mode: str = "fixed"
     h: float = 1e-3
-    rtol: float = 1e-8
-    atol: float = 1e-10
     t_max: float = 10.0
     max_points: int = 5000
     stop_gap: float | None = None
@@ -76,8 +77,8 @@ class StepController:
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown integrator mode {self.mode!r}")
-        if not (self.h > 0 and self.rtol > 0 and self.atol > 0):
-            raise ValueError("step size and tolerances must be positive")
+        if not self.h > 0:
+            raise ValueError("step size must be positive")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
         if self.max_points < 2:
@@ -236,13 +237,13 @@ def _rk4_step(y, h, k1, rhs):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _doubling_step(y, h, k1, rhs, ctrl):
+def _doubling_step(y, h, k1, rhs):
     """Two RK4 half steps, and their error ratio against one full step."""
     big = _rk4_step(y, h, k1, rhs)
     mid = _rk4_step(y, 0.5 * h, k1, rhs)
     half = _rk4_step(mid, 0.5 * h, rhs(mid), rhs)
     delta = (half - big) / 15.0
-    scale = ctrl.atol + ctrl.rtol * np.maximum(np.abs(y), np.abs(half))
+    scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(half))
     ratio = float(np.max(np.abs(delta) / scale))
     return half, (ratio if np.isfinite(ratio) else np.inf)
 
@@ -274,7 +275,7 @@ def _drive(y0, loss, ctrl, theta_of, velocity, positive=False):
         while (h := _next_step(t, h, ctrl.t_max)) is not None:
             k1 = velocity(y, g)
             if adaptive:
-                y_new, ratio = _doubling_step(y, h, k1, rhs, ctrl)
+                y_new, ratio = _doubling_step(y, h, k1, rhs)
             else:
                 y_new, ratio = _rk4_step(y, h, k1, rhs), 0.0
             if ratio <= 1.0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .conservation import locate_min_layers
 from .flow import Trajectory
-from .model import InitScheme, LayerStack, init_layers, leave_one_out_products
+from .model import InitScheme, LayerStack, init_layers, leave_one_out_products, theta_of_layers
 
 RANK_TOL = 1e-10
 
@@ -64,8 +64,8 @@ class FlatParams:
 
 
 def theta_of_flat(fp: FlatParams) -> np.ndarray:
-    """Block products; identical to the layered theta after unflattening."""
-    return np.prod(fp.blocks, axis=1)
+    """Block products: the layered theta of the unflattened stack."""
+    return theta_of_layers(fp.blocks.T)
 
 
 def coordinate_gradient(fp: FlatParams, i: int) -> np.ndarray:
@@ -113,12 +113,12 @@ def jacobian(fp: FlatParams) -> np.ndarray:
     return J
 
 
-def jacobian_rank(fp: FlatParams, tol: float = RANK_TOL) -> int:
-    """Numerical rank via singular values at or above ``tol * s_max``."""
+def jacobian_rank(fp: FlatParams) -> int:
+    """Numerical rank via singular values at or above ``RANK_TOL * s_max``."""
     s = np.linalg.svd(jacobian(fp), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s >= tol * s[0]))
+    return int(np.sum(s >= RANK_TOL * s[0]))
 
 
 def on_manifold(fp: FlatParams) -> bool:

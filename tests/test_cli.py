@@ -186,6 +186,20 @@ def test_init_file_errors_are_usage_errors(tmp_path, capsys):
     assert "--init-file" in capsys.readouterr().err
 
 
+def test_init_file_of_the_wrong_shape_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # two rows for three layers: rejected while parsing, before any file is written
+    monkeypatch.chdir(tmp_path)
+    weights = tmp_path / "init.txt"
+    np.savetxt(weights, np.ones((2, 3)))
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--layers", "3", "--dim", "3", "--init-scheme", "explicit",
+              "--init-file", str(weights), "--output", "o.csv", "--diagnostics", "d.csv"])
+    assert err.value.code == 2
+    assert "expected (3, 3)" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+    assert not (tmp_path / "d.csv").exists()
+
+
 @pytest.mark.parametrize("flag", ["--output", "--diagnostics"])
 def test_unwritable_output_exits_one(tmp_path, capsys, flag):
     target = tmp_path / "no_such_dir" / "out.csv"

@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diagflow import (
     TiedMinimumError,
@@ -24,6 +27,7 @@ from diagflow import (
     reconstruction_error,
     sigma_lower_bound,
     sign_census,
+    theta_of_layers,
 )
 from diagflow.flow import SNAPSHOT_BLOCK
 
@@ -44,18 +48,6 @@ def test_locate_min_layers_tie_detection():
     idx = locate_min_layers(LayerStack([[-1.0, 2.0], [2.0, 1.0]]))
     assert idx.holds
     assert np.array_equal(idx.layer, [0, 1])
-
-
-def test_locate_min_layers_near_tie_flag():
-    stack = LayerStack([[1.0, 1.0], [1.0 + 1e-12, 2.0]])
-    idx = locate_min_layers(stack)
-    assert idx.holds  # not an exact tie
-    assert idx.near_tie[0] and not idx.near_tie[1]
-    # the margin threshold is a knob
-    strict = locate_min_layers(stack, near_tie_rtol=1e-15)
-    assert not strict.near_tie[0]
-    loose = locate_min_layers(stack, near_tie_rtol=0.9)
-    assert np.all(loose.near_tie)
 
 
 def test_random_initialization_avoids_ties():
@@ -184,6 +176,33 @@ def test_reconstruct_theta_two_layer_form():
     v1 = np.array([0.4, 0.2])
     expected = np.sign(perm.stack.layers[1]) * v1 * np.sqrt(v1**2 + perm.deltas[0])
     np.testing.assert_allclose(reconstruct_theta(v1, perm), expected, rtol=1e-15)
+
+
+@given(st.integers(2, 5), st.integers(1, 4), st.data())
+def test_reconstruct_theta_matches_layer_product(num_layers, dim, data):
+    L, d = num_layers, dim
+
+    def draw(shape, elements):
+        return data.draw(arrays(float, shape, elements=elements))
+    # per coordinate: a minimal magnitude m, the others sqrt(m**2 + gap) with
+    # gap >= 0.05, random signs, and the minimal node in a random layer;
+    # subnormal nodes would make theta's relative error meaningless
+    m = draw(d, st.floats(0.0, 2.0, allow_subnormal=False))
+    mags = np.vstack([m, np.sqrt(m ** 2 + draw((L - 1, d), st.floats(0.05, 4.0)))])
+    signs = draw((L, d), st.sampled_from([-1.0, 1.0]))
+    order = np.stack([data.draw(st.permutations(range(L))) for _ in range(d)], axis=1)
+    stack0 = LayerStack(np.take_along_axis(mags * signs, order, axis=0))
+    idx = locate_min_layers(stack0)
+    assert idx.holds
+    perm = min_layer_permutation(stack0, idx)
+    cols = np.arange(d)
+    # a later state: the minimal node moves to v1 (possibly through zero), every
+    # other node by the shared drift v1**2 - m**2 of the conservation law
+    v1 = draw(d, st.floats(-3.0, 3.0, allow_subnormal=False))
+    drift = v1 ** 2 - stack0.layers[idx.layer, cols] ** 2
+    layers = np.sign(stack0.layers) * np.sqrt(stack0.layers ** 2 + drift)
+    layers[idx.layer, cols] = v1
+    np.testing.assert_allclose(reconstruct_theta(v1, perm), theta_of_layers(layers), rtol=1e-10)
 
 
 def test_reconstruction_error_small_along_flow(deep_run):

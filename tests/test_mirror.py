@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diagflow import (
     HyperbolicEntropy,
@@ -45,15 +48,21 @@ def test_hyperbolic_symmetric_case():
     assert e.theta_from_xi(xi) == 0.5 * np.sinh(2 * xi)
 
 
-def test_hyperbolic_roundtrip():
-    rng = np.random.default_rng(1)
-    u, v = random_pair(rng, 5)
-    e = HyperbolicEntropy(u, v)
-    for _ in range(100):
-        theta = rng.uniform(-3, 3, 5)
-        np.testing.assert_allclose(e.theta_from_xi(e.xi_from_theta(theta)), theta, rtol=1e-12)
-        xi = rng.uniform(-2, 2, 5)
-        np.testing.assert_allclose(e.xi_from_theta(e.theta_from_xi(xi)), xi, rtol=1e-12, atol=1e-12)
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_hyperbolic_roundtrip(dim, swap, data):
+    def draw(lo, hi):
+        return data.draw(arrays(float, dim, elements=st.floats(lo, hi)))
+    signs = [data.draw(arrays(float, dim, elements=st.sampled_from([-1.0, 1.0])))
+             for _ in range(2)]
+    # |v0| <= 0.9 |u0| (zero included) keeps delta0 >= 0.19 u0**2
+    u0 = draw(0.5, 1.5) * signs[0]
+    v0 = draw(0.0, 0.9) * np.abs(u0) * signs[1]
+    e = HyperbolicEntropy(*((v0, u0) if swap else (u0, v0)))
+    xi = draw(-2.0, 2.0)
+    np.testing.assert_allclose(e.xi_from_theta(e.theta_from_xi(xi)), xi, rtol=0, atol=1e-12)
+    theta = draw(-10.0, 10.0)
+    np.testing.assert_allclose(e.theta_from_xi(e.xi_from_theta(theta)), theta,
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_hyperbolic_inverse_at_origin():
@@ -132,14 +141,18 @@ def test_power_direct_substitution():
     assert got == pytest.approx(2.915452, abs=1e-6)
 
 
-def test_power_roundtrip():
-    rng = np.random.default_rng(5)
-    for L in (3, 4, 5):
-        u0 = rng.uniform(0.5, 1.5, 4)
-        e = PowerEntropy(u0, L)
-        for _ in range(50):
-            theta = rng.uniform(0.1, 3.0, 4)
-            np.testing.assert_allclose(e.theta_from_xi(e.xi_from_theta(theta)), theta, rtol=1e-12)
+@given(st.integers(1, 4), st.integers(3, 6), st.data())
+def test_power_roundtrip(dim, num_layers, data):
+    def draw(lo, hi):
+        return data.draw(arrays(float, dim, elements=st.floats(lo, hi)))
+    L = num_layers
+    u0 = draw(0.3, 2.0)
+    e = PowerEntropy(u0, L)
+    theta = draw(0.01, 10.0)
+    np.testing.assert_allclose(e.theta_from_xi(e.xi_from_theta(theta)), theta, rtol=1e-12)
+    # xi inside the domain: the base u0**-(L-2) - L(L-2) xi drawn in [0.1, 10]
+    xi = (u0 ** -(L - 2) - draw(0.1, 10.0)) / (L * (L - 2))
+    np.testing.assert_allclose(e.xi_from_theta(e.theta_from_xi(xi)), xi, rtol=0, atol=1e-12)
 
 
 def test_power_gradient_matches_finite_differences():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diagflow import (
     FlatParams,
@@ -30,15 +33,16 @@ def test_flattening_is_coordinate_major():
     assert np.array_equal(theta_of_flat(fp), [3.0, 8.0])
 
 
-def test_flattening_roundtrip():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        L = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 5))
-        stack = LayerStack(rng.uniform(-2, 2, (L, d)))
-        fp = FlatParams.from_stack(stack)
-        assert np.array_equal(fp.to_stack().layers, stack.layers)
-        assert np.array_equal(theta_of_flat(fp), theta_of_layers(stack))
+@given(st.integers(2, 6), st.integers(1, 5), st.data())
+def test_flattening_roundtrip(num_layers, dim, data):
+    # bounded nodes: products of up to 6 factors cannot overflow
+    layers = data.draw(arrays(float, (num_layers, dim), elements=st.floats(-1e3, 1e3)))
+    stack = LayerStack(layers)
+    fp = FlatParams.from_stack(stack)
+    assert np.array_equal(fp.to_stack().layers, stack.layers)
+    assert np.array_equal(FlatParams.from_stack(fp.to_stack()).w, fp.w)
+    assert np.array_equal(fp.blocks[:, 0], stack.layers[0])
+    assert np.array_equal(theta_of_flat(fp), theta_of_layers(stack))
 
 
 def test_flat_zero_kills_block():
