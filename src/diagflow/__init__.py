@@ -62,7 +62,6 @@ from .model import (
 )
 from .paramcheck import (
     Certificate,
-    FlatParams,
     certify,
     commuting_defect,
     coordinate_gradient,
@@ -70,7 +69,6 @@ from .paramcheck import (
     jacobian,
     jacobian_rank,
     on_manifold,
-    theta_of_flat,
     trajectory_on_manifold,
 )
 from .report import DiagnosticsReport, build_diagnostics, write_trajectory_csv

@@ -4,7 +4,7 @@ Subcommands: ``simulate`` (one flow run, full trajectory dump),
 ``crossings`` (per-layer node paths plus the sign census),
 ``convergence`` (rate-bound check and gap curve),
 ``bias`` (flow limit against the constrained-entropy solution), and
-``paramcheck`` (certification table for the flattened product map).
+``paramcheck`` (certification table for the product map).
 
 Each subcommand accepts only the flags it reads: ``simulate``,
 ``crossings`` and ``convergence`` take the layer, size, flow and init
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("crossings", flow_run, "node trajectories and sign census"),
         ("convergence", flow_run, "exponential rate-bound check"),
         ("bias", [size, flow], "flow limit vs constrained-entropy solution"),
-        ("paramcheck", [layers, size], "certify the flattened product parameterization"),
+        ("paramcheck", [layers, size], "certify the product parameterization"),
     ]:
         sub.add_parser(name, parents=parents, help=text)
     return parser

@@ -70,11 +70,18 @@ class ExperimentConfig:
             raise ValueError("problem sizes must be at least 1")
         if self.layers < 2:
             raise ValueError("at least 2 layers are required")
-        if self.t_max <= 0 or self.step <= 0:
-            raise ValueError("t_max and step must be positive")
-        if self.values is not None and np.shape(self.values) != (self.layers, self.dim):
-            raise ValueError(f"explicit values have shape {np.shape(self.values)}, "
-                             f"expected ({self.layers}, {self.dim})")
+        if not (0 < self.t_max < math.inf and 0 < self.step < math.inf):
+            raise ValueError("t_max and step must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not math.isfinite(self.scale):
+            raise ValueError("init scale must be finite")
+        if self.values is not None:
+            if np.shape(self.values) != (self.layers, self.dim):
+                raise ValueError(f"explicit values have shape {np.shape(self.values)}, "
+                                 f"expected ({self.layers}, {self.dim})")
+            if not np.all(np.isfinite(self.values)):
+                raise ValueError("explicit values must be finite")
 
     def init_scheme(self) -> InitScheme:
         return InitScheme(self.scheme, scale=self.scale, values=self.values)

@@ -77,10 +77,10 @@ class StepController:
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"unknown integrator mode {self.mode!r}")
-        if not self.h > 0:
-            raise ValueError("step size must be positive")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError("step size must be positive and finite")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
         if self.max_points < 2:
             raise ValueError("max_points must be at least 2")
 
@@ -135,12 +135,12 @@ def _layer_velocity(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def layer_rhs(stack: LayerStack, loss) -> np.ndarray:
     """Right-hand side of the layer dynamic, one row per layer."""
-    return _layer_velocity(stack.layers, loss.gradient(theta_of_layers(stack)))
+    return _layer_velocity(stack.layers, loss.gradient(theta_of_layers(stack.layers)))
 
 
 def theta_rhs(stack: LayerStack, loss) -> np.ndarray:
     """Velocity of theta: minus the mobility diagonal times the gradient."""
-    return -mobility(stack.layers) * loss.gradient(theta_of_layers(stack))
+    return -mobility(stack.layers) * loss.gradient(theta_of_layers(stack.layers))
 
 
 def _value_and_gradient(loss, theta: np.ndarray) -> tuple[float, np.ndarray]:

@@ -32,24 +32,21 @@ import numpy as np
 EIG_CUTOFF = 1e-12
 
 
-def leave_one_out_products(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """For each slice ``j`` along ``axis``, the product of all other slices.
+def leave_one_out_products(values: np.ndarray) -> np.ndarray:
+    """For each slice ``j`` along axis 0, the product of all other slices.
 
     Computed without division, so exact zeros are handled: a prefix
     ``np.multiply.accumulate`` (slices ``0, ..., j-1`` in that order) times a
     suffix one (the last slice down to ``j+1``). The factors are multiplied
     in the order of a sequential prefix/suffix loop, so every float equals
-    that loop's bit for bit.
+    that loop's bit for bit. On ``(L, d)`` layers, slice ``j`` is
+    ``prod_{k != j} u^k``.
     """
     v = np.asarray(values)
-    if axis != 0:
-        v = np.moveaxis(v, axis, 0)
     out = np.empty_like(v)
     out[:1] = 1
     np.multiply.accumulate(v[:-1], axis=0, out=out[1:])
     out[:-1] *= np.multiply.accumulate(v[:0:-1], axis=0)[::-1]
-    if axis != 0:
-        out = np.moveaxis(out, 0, axis)
     return out
 
 
@@ -59,7 +56,7 @@ def mobility(layers: np.ndarray) -> np.ndarray:
     Theta's velocity along the flow is minus this diagonal times the loss
     gradient.
     """
-    return np.sum(leave_one_out_products(layers ** 2, axis=-2), axis=-2)
+    return np.sum(leave_one_out_products(np.moveaxis(layers ** 2, -2, 0)), axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,13 +88,11 @@ class LayerStack:
 
     @property
     def theta(self) -> np.ndarray:
-        return theta_of_layers(self)
+        return theta_of_layers(self.layers)
 
 
-def theta_of_layers(layers: LayerStack | np.ndarray) -> np.ndarray:
-    """Componentwise product of all layers, of a stack or an ``(L, d)`` array."""
-    if isinstance(layers, LayerStack):
-        layers = layers.layers
+def theta_of_layers(layers: np.ndarray) -> np.ndarray:
+    """Componentwise product of all layers of an ``(L, d)`` array."""
     return np.multiply.reduce(layers, axis=0)
 
 

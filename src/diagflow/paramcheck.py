@@ -1,15 +1,17 @@
-"""Certification of the flattened product parameterization.
+"""Certification of the product parameterization ``theta = u^1 * ... * u^L``.
 
-The layered weights flatten coordinate-major into a vector ``w`` of length
-``L*d`` (block ``i`` holds all ``L`` nodes of coordinate ``i``), and theta
-becomes the block-product map ``w -> (prod of block i)_i``. This module
-checks, numerically, the structural facts the mirror-flow argument rests on:
+Every function takes the weights as an ``(L, d)`` layer array ``u``, as the
+flow does. Derivatives of theta are taken with respect to the ``L*d`` nodes
+in coordinate-major order: column ``i*L + j`` of the Jacobian and of each
+coordinate Hessian is node ``u[j, i]``, so coordinate ``i``'s ``L`` nodes form
+the contiguous block ``i``. This module checks, numerically, the
+structural facts the mirror-flow argument rests on:
 
 * blocks have disjoint supports, so second-derivative/gradient products
   commute across output coordinates exactly;
-* the Jacobian keeps full row rank ``d`` wherever every block has at most
-  one zero node (the working manifold), and the flow never leaves that set
-  when started inside it.
+* the Jacobian keeps full row rank ``d`` wherever every coordinate has at
+  most one zero node (the working manifold), and the flow never leaves that
+  set when started inside it.
 
 The disjoint supports also make the flows generated by the coordinate
 gradient fields act on separate variables, so their domains are symmetric
@@ -25,113 +27,80 @@ import numpy as np
 
 from .conservation import locate_min_layers
 from .flow import Trajectory
-from .model import InitScheme, LayerStack, init_layers, leave_one_out_products, theta_of_layers
+from .model import InitScheme, init_layers, leave_one_out_products
 
 RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class FlatParams:
-    """Coordinate-major flattening of a layer stack."""
-
-    w: np.ndarray  # (num_layers * dim,)
-    num_layers: int
-    dim: int
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.shape != (self.num_layers * self.dim,):
-            raise ValueError(
-                f"w has length {w.shape}, expected ({self.num_layers * self.dim},)"
-            )
-        object.__setattr__(self, "w", w)
-
-    @classmethod
-    def from_stack(cls, stack: LayerStack) -> "FlatParams":
-        return cls(stack.layers.T.reshape(-1), stack.num_layers, stack.dim)
-
-    def to_stack(self) -> LayerStack:
-        return LayerStack(self.blocks.T)
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """View of shape (dim, num_layers); row i is coordinate i's block."""
-        return self.w.reshape(self.dim, self.num_layers)
-
-    def _check_coordinate(self, i: int) -> None:
-        if not 0 <= i < self.dim:
-            raise IndexError(f"coordinate {i} out of range [0, {self.dim})")
+def _checked(u: np.ndarray, i: int | None = None) -> np.ndarray:
+    """``u`` as a float ``(L, d)`` array; ``i``, if given, must be a coordinate."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2:
+        raise ValueError(f"layers have shape {u.shape}, expected (L, d)")
+    if i is not None and not 0 <= i < u.shape[1]:
+        raise IndexError(f"coordinate {i} out of range [0, {u.shape[1]})")
+    return u
 
 
-def theta_of_flat(fp: FlatParams) -> np.ndarray:
-    """Block products: the layered theta of the unflattened stack."""
-    return theta_of_layers(fp.blocks.T)
-
-
-def coordinate_gradient(fp: FlatParams, i: int) -> np.ndarray:
+def coordinate_gradient(u: np.ndarray, i: int) -> np.ndarray:
     """Gradient of output coordinate i; supported on block i only."""
-    fp._check_coordinate(i)
-    return jacobian(fp)[i]
+    return jacobian(_checked(u, i))[i]
 
 
-def coordinate_hessian(fp: FlatParams, i: int) -> np.ndarray:
+def coordinate_hessian(u: np.ndarray, i: int) -> np.ndarray:
     """Hessian of output coordinate i; zero outside block i, zero diagonal."""
-    fp._check_coordinate(i)
-    L = fp.num_layers
-    n = fp.w.shape[0]
-    H = np.zeros((n, n))
-    block = fp.blocks[i]
+    u = _checked(u, i)
+    L, d = u.shape
+    H = np.zeros((L * d, L * d))
     for a in range(L):
         for b in range(a + 1, L):
             keep = [m for m in range(L) if m != a and m != b]
-            v = float(np.prod(block[keep])) if keep else 1.0
+            v = float(np.prod(u[keep, i]))
             H[i * L + a, i * L + b] = v
             H[i * L + b, i * L + a] = v
     return H
 
 
-def commuting_defect(fp: FlatParams, i1: int, i2: int) -> float:
+def commuting_defect(u: np.ndarray, i1: int, i2: int) -> float:
     """Inf-norm of the commutator of second-derivative/gradient products.
 
-    Identically zero for the block-product map: distinct blocks share no
+    Identically zero for the product map: distinct blocks share no
     variables, and the self-commutator cancels termwise.
     """
-    g1 = coordinate_gradient(fp, i1)
-    g2 = coordinate_gradient(fp, i2)
-    h1 = coordinate_hessian(fp, i1)
-    h2 = coordinate_hessian(fp, i2)
+    g1 = coordinate_gradient(u, i1)
+    g2 = coordinate_gradient(u, i2)
+    h1 = coordinate_hessian(u, i1)
+    h2 = coordinate_hessian(u, i2)
     return float(np.max(np.abs(h1 @ g2 - h2 @ g1)))
 
 
-def jacobian(fp: FlatParams) -> np.ndarray:
-    """Full Jacobian of the block-product map, shape (dim, num_layers*dim)."""
-    L, d = fp.num_layers, fp.dim
-    loo = leave_one_out_products(fp.blocks, axis=1)
-    J = np.zeros((d, L * d))
-    for i in range(d):
-        J[i, i * L : (i + 1) * L] = loo[i]
-    return J
+def jacobian(u: np.ndarray) -> np.ndarray:
+    """Jacobian of theta, shape (d, L*d): ``J[i, i*L + j] = prod_{k != j} u[k, i]``."""
+    u = _checked(u)
+    L, d = u.shape
+    J = np.zeros((d, d, L))
+    J[np.arange(d), np.arange(d)] = leave_one_out_products(u).T
+    return J.reshape(d, L * d)
 
 
-def jacobian_rank(fp: FlatParams) -> int:
+def jacobian_rank(u: np.ndarray) -> int:
     """Numerical rank via singular values at or above ``RANK_TOL * s_max``."""
-    s = np.linalg.svd(jacobian(fp), compute_uv=False)
+    s = np.linalg.svd(jacobian(u), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s >= RANK_TOL * s[0]))
 
 
-def on_manifold(fp: FlatParams) -> bool:
-    """True iff every coordinate block has at most one zero node."""
-    return bool(np.all((fp.blocks == 0.0).sum(axis=1) <= 1))
+def on_manifold(layers: np.ndarray) -> bool:
+    """True iff every coordinate of ``(..., L, d)`` layers has at most one zero node."""
+    return bool(((np.asarray(layers) == 0.0).sum(axis=-2) <= 1).all())
 
 
 def trajectory_on_manifold(traj: Trajectory) -> bool:
     """Manifold membership of every recorded snapshot."""
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
-    zeros_per_block = (traj.layers == 0.0).sum(axis=1)  # (K, d)
-    return bool(np.all(zeros_per_block <= 1))
+    return on_manifold(traj.layers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +118,8 @@ class Certificate:
 def certify(num_layers: int, dim: int, samples: int, seed: int) -> Certificate:
     """Certify the product map at one shape from ``samples`` seeded draws.
 
-    Every other rank sample has one zero node in each block. The control map
+    Each draw fills the nodes in the Jacobian's column order. Every other
+    rank sample has one zero node in each coordinate. The control map
     ``(w1 w2, w1 w3)`` shares ``w1`` across outputs, so its commutator is
     nonzero: it shows that the defect check can fail.
     """
@@ -158,24 +128,24 @@ def certify(num_layers: int, dim: int, samples: int, seed: int) -> Certificate:
 
     max_defect = 0.0
     for _ in range(samples):
-        fp = FlatParams(rng.uniform(-2.0, 2.0, L * d), L, d)
+        u = rng.uniform(-2.0, 2.0, L * d).reshape(d, L).T
         i1, i2 = rng.integers(0, d, size=2)
-        max_defect = max(max_defect, commuting_defect(fp, int(i1), int(i2)))
+        max_defect = max(max_defect, commuting_defect(u, int(i1), int(i2)))
 
     ranks_ok = True
     for k in range(samples):
-        w = rng.uniform(0.2, 2.0, L * d) * rng.choice([-1.0, 1.0], L * d)
+        u = (rng.uniform(0.2, 2.0, L * d) * rng.choice([-1.0, 1.0], L * d)).reshape(d, L).T
         if k % 2 == 1:
-            w.reshape(d, L)[np.arange(d), rng.integers(0, L, size=d)] = 0.0
-        ranks_ok &= jacobian_rank(FlatParams(w, L, d)) == d
+            u[rng.integers(0, L, size=d), np.arange(d)] = 0.0
+        ranks_ok &= jacobian_rank(u) == d
 
-    w = rng.uniform(0.2, 2.0, L * d)
-    w[0] = w[1] = 0.0
-    rank_one_block = jacobian_rank(FlatParams(w, L, d))
+    u = rng.uniform(0.2, 2.0, L * d).reshape(d, L).T
+    u[:2, 0] = 0.0
+    rank_one_block = jacobian_rank(u)
     rank_two_blocks = None
     if d >= 2:
-        w[L] = w[L + 1] = 0.0
-        rank_two_blocks = jacobian_rank(FlatParams(w, L, d))
+        u[:2, 1] = 0.0
+        rank_two_blocks = jacobian_rank(u)
 
     wc = rng.uniform(0.5, 1.5, 3)
     g1 = np.array([wc[1], wc[0], 0.0])
@@ -185,6 +155,6 @@ def certify(num_layers: int, dim: int, samples: int, seed: int) -> Certificate:
     control_defect = float(np.max(np.abs(h1 @ g2 - h2 @ g1)))
 
     stack0 = init_layers(d, L, InitScheme("uniform"), seed=seed)
-    bridge = locate_min_layers(stack0).holds and on_manifold(FlatParams.from_stack(stack0))
+    bridge = locate_min_layers(stack0).holds and on_manifold(stack0.layers)
     return Certificate(max_defect, bool(ranks_ok), rank_one_block, rank_two_blocks,
                        control_defect, bridge)

@@ -200,6 +200,20 @@ def test_init_file_of_the_wrong_shape_is_a_usage_error(tmp_path, monkeypatch, ca
     assert not (tmp_path / "d.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [["--tmax", "nan"], ["--tmax", "inf"], ["--step", "nan"],
+                                   ["--init-scale", "nan"], ["--seed", "-1"],
+                                   ["--init-scheme", "explicit", "--init-file", "nan.txt"]])
+def test_out_of_range_value_is_a_usage_error(tmp_path, monkeypatch, capsys, flags):
+    # rejected while parsing, before any file is written
+    monkeypatch.chdir(tmp_path)
+    np.savetxt(tmp_path / "nan.txt", [[0.5, np.nan], [0.5, 0.8]])
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--layers", "2", "--dim", "2", *flags, "--output", "o.csv"])
+    assert err.value.code == 2
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("flag", ["--output", "--diagnostics"])
 def test_unwritable_output_exits_one(tmp_path, capsys, flag):
     target = tmp_path / "no_such_dir" / "out.csv"

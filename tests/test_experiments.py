@@ -402,3 +402,7 @@ def test_experiment_config_validation():
         ExperimentConfig(dim=0)
     with pytest.raises(ValueError):
         ExperimentConfig(t_max=0.0)
+    for bad in (dict(t_max=np.nan), dict(t_max=np.inf), dict(step=np.nan), dict(seed=-1),
+                dict(scale=np.nan), dict(layers=2, dim=2, values=[[1.0, np.nan], [1.0, 1.0]])):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)

@@ -346,6 +346,10 @@ def test_controller_validation():
         StepController(h=0.0)
     with pytest.raises(ValueError):
         StepController(t_max=-1.0)
+    for field in ("h", "t_max"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                StepController(**{field: value})
 
 
 def test_csv_export_roundtrip(tmp_path):

@@ -10,13 +10,14 @@ from diagflow import (
     QuadraticLoss,
     init_layers,
     leave_one_out_products,
+    mobility,
     theta_of_layers,
 )
 
 
 def test_theta_direct_products():
-    assert theta_of_layers(LayerStack([[2.0], [3.0], [4.0]])) == np.array([24.0])
-    got = theta_of_layers(LayerStack([[1.0, 2.0], [3.0, 4.0]]))
+    assert theta_of_layers(np.array([[2.0], [3.0], [4.0]])) == np.array([24.0])
+    got = theta_of_layers(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert np.array_equal(got, [3.0, 8.0])
 
 
@@ -30,13 +31,13 @@ def test_theta_permutation_invariant():
     # rounding of the sequential product
     rng = np.random.default_rng(0)
     u = rng.uniform(-2, 2, (2, 5))
-    assert np.array_equal(theta_of_layers(LayerStack(u)), theta_of_layers(LayerStack(u[::-1])))
+    assert np.array_equal(theta_of_layers(u), theta_of_layers(u[::-1]))
     for _ in range(50):
         L = rng.integers(3, 6)
         layers = rng.uniform(-2, 2, (L, 4))
         perm = rng.permutation(L)
-        a = theta_of_layers(LayerStack(layers))
-        b = theta_of_layers(LayerStack(layers[perm]))
+        a = theta_of_layers(layers)
+        b = theta_of_layers(layers[perm])
         np.testing.assert_allclose(a, b, rtol=1e-13)
 
 
@@ -63,19 +64,18 @@ _node = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
 
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4), st.data())
 def test_leave_one_out_matches_brute_force(batch, num_layers, dim, data):
-    # axis 0 is the flow's (L, d) state, axis -2 the (..., L, d) of model.mobility
-    for axis, shape in ((0, (num_layers, dim)), (-2, (batch, num_layers, dim))):
+    # the flow's (L, d) state, and a batch (L, B, d) of them
+    for shape in ((num_layers, dim), (num_layers, batch, dim)):
         v = data.draw(arrays(float, shape, elements=_node))
-        got = leave_one_out_products(v, axis=axis)
-        brute = np.stack([np.prod(np.delete(v, j, axis=axis), axis=axis)
-                          for j in range(num_layers)], axis=axis)
+        got = leave_one_out_products(v)
+        brute = np.stack([np.prod(np.delete(v, j, axis=0), axis=0)
+                          for j in range(num_layers)])
         np.testing.assert_allclose(got, brute, rtol=1e-12, atol=0.0)
         assert np.array_equal(got == 0.0, brute == 0.0)
 
 
-def _sequential_leave_one_out(values, axis):
+def _sequential_leave_one_out(v):
     # reference: the sequential prefix/suffix loop, one slice at a time
-    v = np.moveaxis(np.asarray(values), axis, 0)
     out = np.empty_like(v)
     acc = np.ones_like(v[0])
     for j in range(v.shape[0]):
@@ -85,7 +85,7 @@ def _sequential_leave_one_out(values, axis):
     for j in range(v.shape[0] - 1, -1, -1):
         out[j] = out[j] * acc
         acc = acc * v[j]
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 # any non-NaN float, with signed zeros and infinities drawn often: products
@@ -96,14 +96,23 @@ _any_node = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
 
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4), st.data())
 def test_leave_one_out_equals_sequential_loop_bit_for_bit(batch, num_layers, dim, data):
-    for axis, shape in ((0, (num_layers, dim)), (-2, (batch, num_layers, dim)),
-                        (1, (dim, num_layers, batch))):
+    for shape in ((num_layers, dim), (num_layers, batch, dim)):
         v = data.draw(arrays(float, shape, elements=_any_node))
         with np.errstate(over="ignore", invalid="ignore"):
-            got = leave_one_out_products(v, axis=axis)
-            want = _sequential_leave_one_out(v, axis)
+            got = leave_one_out_products(v)
+            want = _sequential_leave_one_out(v)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@given(st.integers(1, 4), st.integers(1, 10), st.integers(1, 4), st.data())
+def test_mobility_of_snapshots_equals_each_snapshot_bit_for_bit(num_snapshots, num_layers, dim, data):
+    # a (K, L, d) trajectory, as the diagnostics pass it, against K (L, d) states
+    layers = data.draw(arrays(float, (num_snapshots, num_layers, dim), elements=_any_node))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = mobility(layers)
+        want = np.stack([mobility(snapshot) for snapshot in layers])
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_loss_identity_design():

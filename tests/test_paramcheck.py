@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from diagflow import (
-    FlatParams,
     InitScheme,
     LayerStack,
     QuadraticLoss,
@@ -20,49 +16,45 @@ from diagflow import (
     locate_min_layers,
     make_problem,
     on_manifold,
-    theta_of_flat,
     theta_of_layers,
     trajectory_on_manifold,
 )
 
 
-def test_flattening_is_coordinate_major():
-    stack = LayerStack([[1.0, 2.0], [3.0, 4.0]])
-    fp = FlatParams.from_stack(stack)
-    assert np.array_equal(fp.w, [1.0, 3.0, 2.0, 4.0])
-    assert np.array_equal(theta_of_flat(fp), [3.0, 8.0])
+def _node(column, L):
+    # column i*L + j of the Jacobian and Hessian is the node u[j, i]
+    return column % L, column // L
 
 
-@given(st.integers(2, 6), st.integers(1, 5), st.data())
-def test_flattening_roundtrip(num_layers, dim, data):
-    # bounded nodes: products of up to 6 factors cannot overflow
-    layers = data.draw(arrays(float, (num_layers, dim), elements=st.floats(-1e3, 1e3)))
-    stack = LayerStack(layers)
-    fp = FlatParams.from_stack(stack)
-    assert np.array_equal(fp.to_stack().layers, stack.layers)
-    assert np.array_equal(FlatParams.from_stack(fp.to_stack()).w, fp.w)
-    assert np.array_equal(fp.blocks[:, 0], stack.layers[0])
-    assert np.array_equal(theta_of_flat(fp), theta_of_layers(stack))
+def test_jacobian_column_order():
+    # integer nodes: every product is exact, whatever order it is taken in
+    rng = np.random.default_rng(0)
+    L, d = 4, 3
+    u = rng.integers(-5, 6, (L, d)).astype(float)
+    J = jacobian(u)
+    for i in range(d):
+        for j in range(L):
+            assert J[i, i * L + j] == np.prod(np.delete(u[:, i], j))
 
 
 def test_flat_zero_kills_block():
-    fp = FlatParams(np.array([0.0, 5.0, 2.0, 3.0]), 2, 2)
-    assert np.array_equal(theta_of_flat(fp), [0.0, 6.0])
+    u = np.array([[0.0, 2.0], [5.0, 3.0]])
+    assert np.array_equal(theta_of_layers(u), [0.0, 6.0])
+    assert np.array_equal(jacobian(u), [[5.0, 0.0, 0.0, 0.0], [0.0, 0.0, 3.0, 2.0]])
 
 
 def test_flat_params_validation():
     with pytest.raises(ValueError):
-        FlatParams(np.ones(5), 2, 2)
-    fp = FlatParams(np.ones(4), 2, 2)
+        jacobian(np.ones(4))  # a flat vector, not (L, d) layers
+    u = np.ones((2, 2))
     with pytest.raises(IndexError):
-        coordinate_gradient(fp, 2)
+        coordinate_gradient(u, 2)
     with pytest.raises(IndexError):
-        coordinate_hessian(fp, -1)
+        coordinate_hessian(u, -1)
 
 
 def test_coordinate_gradient_leave_one_out():
-    fp = FlatParams(np.array([2.0, 3.0]), 2, 1)
-    assert np.array_equal(coordinate_gradient(fp, 0), [3.0, 2.0])
+    assert np.array_equal(coordinate_gradient(np.array([[2.0], [3.0]]), 0), [3.0, 2.0])
 
 
 def test_coordinate_gradient_support_and_fd():
@@ -70,51 +62,49 @@ def test_coordinate_gradient_support_and_fd():
     for _ in range(30):
         L = int(rng.integers(2, 6))
         d = int(rng.integers(1, 5))
-        fp = FlatParams(rng.uniform(0.3, 2.0, L * d) * rng.choice([-1, 1], L * d), L, d)
+        u = rng.uniform(0.3, 2.0, (L, d)) * rng.choice([-1, 1], (L, d))
         i = int(rng.integers(0, d))
-        g = coordinate_gradient(fp, i)
+        g = coordinate_gradient(u, i)
         mask = np.zeros(L * d, bool)
         mask[i * L : (i + 1) * L] = True
         assert np.all(g[~mask] == 0.0)
         h = 1e-6
-        for j in range(L * d):
-            up, dn = fp.w.copy(), fp.w.copy()
-            up[j] += h
-            dn[j] -= h
-            fd = (theta_of_flat(FlatParams(up, L, d))[i] - theta_of_flat(FlatParams(dn, L, d))[i]) / (2 * h)
-            np.testing.assert_allclose(g[j], fd, rtol=1e-6, atol=1e-9)
+        for c in range(L * d):
+            up, dn = u.copy(), u.copy()
+            up[_node(c, L)] += h
+            dn[_node(c, L)] -= h
+            fd = (theta_of_layers(up)[i] - theta_of_layers(dn)[i]) / (2 * h)
+            np.testing.assert_allclose(g[c], fd, rtol=1e-6, atol=1e-9)
 
 
 def test_coordinate_hessian_bilinear_case():
-    fp = FlatParams(np.array([2.0, 3.0]), 2, 1)
-    assert np.array_equal(coordinate_hessian(fp, 0), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(coordinate_hessian(np.array([[2.0], [3.0]]), 0), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_coordinate_hessian_matches_gradient_differences():
     rng = np.random.default_rng(2)
     L, d = 4, 3
-    fp = FlatParams(rng.uniform(0.3, 1.5, L * d), L, d)
+    u = rng.uniform(0.3, 1.5, (L, d))
     i = 1
-    H = coordinate_hessian(fp, i)
+    H = coordinate_hessian(u, i)
     assert np.array_equal(H, H.T)
     assert np.all(np.diag(H) == 0.0)
     h = 1e-6
-    for j in range(L * d):
-        up, dn = fp.w.copy(), fp.w.copy()
-        up[j] += h
-        dn[j] -= h
-        fd = (coordinate_gradient(FlatParams(up, L, d), i)
-              - coordinate_gradient(FlatParams(dn, L, d), i)) / (2 * h)
-        np.testing.assert_allclose(H[:, j], fd, rtol=1e-5, atol=1e-8)
+    for c in range(L * d):
+        up, dn = u.copy(), u.copy()
+        up[_node(c, L)] += h
+        dn[_node(c, L)] -= h
+        fd = (coordinate_gradient(up, i) - coordinate_gradient(dn, i)) / (2 * h)
+        np.testing.assert_allclose(H[:, c], fd, rtol=1e-5, atol=1e-8)
 
 
 def test_hessian_support_confined_to_block():
     rng = np.random.default_rng(3)
     for L in (2, 3, 5):
         for d in (1, 2, 4):
-            fp = FlatParams(rng.uniform(-2, 2, L * d), L, d)
+            u = rng.uniform(-2, 2, (L, d))
             for i in range(d):
-                H = coordinate_hessian(fp, i)
+                H = coordinate_hessian(u, i)
                 outside = np.ones(L * d, bool)
                 outside[i * L : (i + 1) * L] = False
                 assert np.all(H[outside] == 0.0)
@@ -126,9 +116,9 @@ def test_commuting_defect_is_exactly_zero():
     for _ in range(60):
         L = int(rng.integers(2, 6))
         d = int(rng.integers(1, 5))
-        fp = FlatParams(rng.uniform(-2, 2, L * d), L, d)
+        u = rng.uniform(-2, 2, (L, d))
         i1, i2 = rng.integers(0, d, size=2)
-        assert commuting_defect(fp, int(i1), int(i2)) == 0.0
+        assert commuting_defect(u, int(i1), int(i2)) == 0.0
 
 
 def test_control_counterexample_has_nonzero_commutator():
@@ -148,61 +138,58 @@ def test_jacobian_rank_full_on_manifold():
     rng = np.random.default_rng(6)
     L, d = 3, 4
     for k in range(40):
-        w = rng.uniform(0.2, 2.0, L * d) * rng.choice([-1, 1], L * d)
-        blocks = w.reshape(d, L)
+        u = rng.uniform(0.2, 2.0, (L, d)) * rng.choice([-1, 1], (L, d))
         if k % 2:
-            blocks[np.arange(d), rng.integers(0, L, size=d)] = 0.0
-        fp = FlatParams(blocks.reshape(-1), L, d)
-        assert on_manifold(fp)
-        assert jacobian_rank(fp) == d
+            u[rng.integers(0, L, size=d), np.arange(d)] = 0.0
+        assert on_manifold(u)
+        assert jacobian_rank(u) == d
 
 
 def test_jacobian_rank_drops_off_manifold():
     L, d = 3, 4
-    w = np.full(L * d, 1.5)
-    w[0] = w[1] = 0.0  # two zeros in the first block
-    fp = FlatParams(w, L, d)
-    assert not on_manifold(fp)
-    assert jacobian_rank(fp) == d - 1
-    assert jacobian_rank(FlatParams(np.zeros(L * d), L, d)) == 0
+    u = np.full((L, d), 1.5)
+    u[:2, 0] = 0.0  # two zeros in the first coordinate
+    assert not on_manifold(u)
+    assert jacobian_rank(u) == d - 1
+    assert jacobian_rank(np.zeros((L, d))) == 0
 
 
 def test_jacobian_rank_counts_violated_blocks():
-    # rank is exactly d minus the number of blocks holding >= 2 zeros
+    # rank is exactly d minus the number of coordinates holding >= 2 zeros
     rng = np.random.default_rng(7)
     L, d = 4, 5
     for _ in range(20):
-        blocks = rng.uniform(0.3, 1.7, (d, L))
+        u = rng.uniform(0.3, 1.7, (L, d))
         bad = rng.integers(0, d + 1)
         which = rng.choice(d, size=bad, replace=False)
         for i in which:
-            cols = rng.choice(L, size=int(rng.integers(2, L + 1)), replace=False)
-            blocks[i, cols] = 0.0
-        fp = FlatParams(blocks.reshape(-1), L, d)
-        assert jacobian_rank(fp) == d - bad
+            rows = rng.choice(L, size=int(rng.integers(2, L + 1)), replace=False)
+            u[rows, i] = 0.0
+        assert jacobian_rank(u) == d - bad
 
 
 def test_jacobian_block_structure():
-    fp = FlatParams(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2)
-    J = jacobian(fp)
+    J = jacobian(np.array([[1.0, 3.0], [2.0, 4.0]]))
     assert np.array_equal(J, [[2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 4.0, 3.0]])
 
 
 def test_on_manifold_cases():
-    assert on_manifold(FlatParams(np.ones(6), 3, 2))
-    w = np.ones(6)
-    w[0] = 0.0
-    w[4] = 0.0  # one zero in each block
-    assert on_manifold(FlatParams(w, 3, 2))
-    w[1] = 0.0  # second zero in the first block
-    assert not on_manifold(FlatParams(w, 3, 2))
+    assert on_manifold(np.ones((3, 2)))
+    u = np.ones((3, 2))
+    u[0, 0] = 0.0
+    u[1, 1] = 0.0  # one zero in each coordinate
+    assert on_manifold(u)
+    assert on_manifold(np.stack([np.ones((3, 2)), u]))  # (K, L, d) snapshots
+    u[1, 0] = 0.0  # second zero in the first coordinate
+    assert not on_manifold(u)
+    assert not on_manifold(np.stack([np.ones((3, 2)), u]))
 
 
 def test_unique_minimum_init_lies_on_manifold():
     for seed in range(50):
         stack = init_layers(4, 3, InitScheme("uniform"), seed=seed)
         assert locate_min_layers(stack).holds
-        assert on_manifold(FlatParams.from_stack(stack))
+        assert on_manifold(stack.layers)
 
 
 def test_flow_stays_on_manifold():
