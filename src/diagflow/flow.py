@@ -4,9 +4,11 @@ Trains the layers by the continuous-time dynamic
 
     du^j/dt = -(prod_{k != j} u^k) * grad L(theta),   theta = prod_j u^j,
 
-with a classical fixed-step RK4 scheme by default and an optional
-step-doubling adaptive mode for stiff, large-initialization runs. Along the
-trajectory the accumulated dual variable
+with a classical fixed-step RK4 scheme by default and an optional adaptive
+mode for stiff, large-initialization runs: the Dormand–Prince 5(4) pair,
+whose last stage is the next step's first (FSAL), so an attempted step
+costs six loss evaluations. Along the trajectory the accumulated dual
+variable
 
     xi(t) = -integral_0^t grad L(theta(s)) ds
 
@@ -39,33 +41,39 @@ SNAPSHOT_BLOCK = 256
 
 
 class DivergenceError(RuntimeError):
-    """State left the finite/bounded region; retry with a smaller step."""
+    """State left the finite/bounded region; retry with a smaller step.
 
-    def __init__(self, t: float, message: str | None = None):
-        self.time = t
+    ``time`` is where the step of size ``h`` ended, and ``max_abs_theta``
+    the largest |theta| component there (NaN when theta is not finite).
+    """
+
+    def __init__(self, t: float, h: float, max_abs_theta: float, message: str | None = None):
+        self.time, self.h, self.max_abs_theta = t, h, max_abs_theta
         super().__init__(message or f"integration diverged at t={t:.6g}; reduce the step size")
 
 
 class StepUnderflowError(RuntimeError):
-    """Adaptive controller drove the step below the representable floor."""
+    """Adaptive controller drove the step ``h`` below the floor at ``time``."""
 
-    def __init__(self, t: float):
-        self.time = t
-        super().__init__(f"adaptive step size underflow at t={t:.6g}")
+    def __init__(self, t: float, h: float):
+        self.time, self.h = t, h
+        super().__init__(f"adaptive step size underflow at t={t:.6g} (h={h:.3g})")
 
 
 @dataclass(frozen=True)
 class StepController:
     """Integrator settings.
 
-    ``mode`` is ``"fixed"`` (RK4 with step ``h``) or ``"adaptive"`` (step
-    doubling from ``h``, to ``_RTOL`` = 1e-8 and ``_ATOL`` = 1e-10). ``max_points``
-    caps the number of stored snapshots; the dual-variable quadrature always
-    runs on the undecimated grid. A fixed-step run without ``stop_gap`` knows its
-    grid in advance, so it holds only the O(``max_points``) snapshots it
-    returns; adaptive and ``stop_gap`` runs record every accepted step and
-    decimate at the end. Both keep the same rows. ``stop_gap``, when set,
-    ends the run early once ``loss - optimal_value`` drops to that level.
+    ``mode`` is ``"fixed"`` (RK4 with step ``h``) or ``"adaptive"``
+    (Dormand–Prince 5(4) with FSAL from ``h``, to ``_RTOL`` = 1e-8 and
+    ``_ATOL`` = 1e-10). ``max_points`` caps the number of stored snapshots;
+    the dual-variable quadrature always runs on the undecimated grid. A
+    fixed-step run without ``stop_gap`` knows its grid in advance, so it
+    holds only the O(``max_points``) snapshots it returns; adaptive and
+    ``stop_gap`` runs record every accepted step into arrays that double as
+    they fill, and decimate at the end. Both keep the same rows.
+    ``stop_gap``, when set, ends the run early once ``loss - optimal_value``
+    drops to that level.
     """
 
     mode: str = "fixed"
@@ -150,13 +158,15 @@ def _value_and_gradient(loss, theta: np.ndarray) -> tuple[float, np.ndarray]:
     return loss.value(theta), loss.gradient(theta)
 
 
-def _guard(y: np.ndarray, theta: np.ndarray, t: float, positive: bool) -> None:
+def _guard(y: np.ndarray, theta: np.ndarray, t: float, h: float, positive: bool) -> None:
+    top = float(np.abs(theta).max())
     if not (np.isfinite(y).all() and np.isfinite(theta).all()):
-        raise DivergenceError(t, f"non-finite state at t={t:.6g}; reduce the step size")
-    if np.abs(theta).max() > DIVERGENCE_LIMIT:
-        raise DivergenceError(t)
+        raise DivergenceError(t, h, top, f"non-finite state at t={t:.6g}; reduce the step size")
+    if top > DIVERGENCE_LIMIT:
+        raise DivergenceError(t, h, top)
     if positive and (y <= 0).any():
-        raise DivergenceError(t, f"state left the positive orthant at t={t:.6g}; reduce the step size")
+        raise DivergenceError(t, h, top,
+                              f"state left the positive orthant at t={t:.6g}; reduce the step size")
 
 
 def _stride(k: int, max_points: int) -> int:
@@ -164,14 +174,36 @@ def _stride(k: int, max_points: int) -> int:
     return math.ceil(k / (max_points - 1)) if k > max_points else 1
 
 
-def _decimate(columns: tuple[list, ...], max_points: int) -> list[np.ndarray]:
-    k = len(columns[0])
-    idx = sorted({*range(0, k, _stride(k, max_points)), k - 1})
-    stacked = []
-    for column in columns:
-        stacked.append(np.array([column[i] for i in idx]))
-        column.clear()  # free the recorded rows before stacking the next column
-    return stacked
+class _Columns:
+    """The six ``Trajectory`` columns, written row by row into preallocated arrays.
+
+    They start at ``capacity`` rows and double whenever they fill.
+    """
+
+    def __init__(self, row: tuple, capacity: int):
+        self.arrays = [np.empty((capacity, *np.shape(v))) for v in row]
+        self.count = 0
+        self.append(row)
+
+    def append(self, row: tuple) -> None:
+        if self.count == len(self.arrays[0]):
+            for i, old in enumerate(self.arrays):  # one column at a time, to bound the peak
+                self.arrays[i] = np.empty((2 * len(old), *old.shape[1:]))
+                self.arrays[i][:self.count] = old
+        for column, v in zip(self.arrays, row):
+            column[self.count] = v
+        self.count += 1
+
+    def kept(self, max_points: int) -> list[np.ndarray]:
+        """Every ``stride``-th row plus the last, the stride capping them at ``max_points``."""
+        k = self.count
+        stride = _stride(k, max_points)
+        if stride == 1 and k == len(self.arrays[0]):
+            return self.arrays
+        rows = np.arange(0, k, stride)
+        if (k - 1) % stride:
+            rows = np.append(rows, k - 1)
+        return [self.arrays.pop(0)[rows] for _ in range(len(self.arrays))]
 
 
 def _next_step(t: float, h: float, t_end: float) -> float | None:
@@ -180,7 +212,7 @@ def _next_step(t: float, h: float, t_end: float) -> float | None:
 
 
 def _kept_steps(ctrl: StepController) -> tuple[int, int | None]:
-    """Stride and last step of the rows ``_decimate`` keeps, or ``(1, None)``.
+    """Stride and last step of the rows ``_Columns.kept`` keeps, or ``(1, None)``.
 
     Known up front only when the time grid does not depend on the state: a
     fixed-step run without ``stop_gap``, counted by ``_drive``'s recurrence.
@@ -237,63 +269,100 @@ def _rk4_step(y, h, k1, rhs):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _doubling_step(y, h, k1, rhs):
-    """Two RK4 half steps, and their error ratio against one full step."""
-    big = _rk4_step(y, h, k1, rhs)
-    mid = _rk4_step(y, 0.5 * h, k1, rhs)
-    half = _rk4_step(mid, 0.5 * h, rhs(mid), rhs)
-    delta = (half - big) / 15.0
-    scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(half))
-    ratio = float(np.max(np.abs(delta) / scale))
-    return half, (ratio if np.isfinite(ratio) else np.inf)
+# Dormand–Prince 5(4) (J. Comput. Appl. Math. 6, 1980; scipy's RK45). Stage
+# i > 0 is the velocity at y + h * _DP_A[i] @ k. The last row is also the
+# 5th-order weights, so stage 7 is the velocity at the new point and becomes
+# the next step's first (FSAL). _DP_E weighs the stages into the difference
+# of the 5th- and the embedded 4th-order solution.
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+
+
+def _dopri_step(y, h, k, rhs, evaluate, velocity):
+    """One Dormand–Prince step from ``y``, the velocity at ``y`` in ``k[0]``.
+
+    Fills the rest of the stage buffer ``k`` (7 rows of ``y.size``). The
+    last stage evaluates the loss at the new point once, by ``evaluate``.
+    Returns the 5th-order solution, its error ratio against the 4th-order
+    one, and that stage's ``(theta, value, gradient)``.
+    """
+    hA = h * _DP_A
+    for i in range(1, 6):
+        k[i] = rhs(y + (hA[i, :i] @ k[:i]).reshape(y.shape)).ravel()
+    y_new = y + (hA[6] @ k[:6]).reshape(y.shape)
+    state = evaluate(y_new)
+    k[6] = velocity(y_new, state[2]).ravel()
+    scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new)).ravel()
+    ratio = float(np.max(np.abs((h * _DP_E) @ k) / scale))
+    return y_new, (ratio if np.isfinite(ratio) else np.inf), state
 
 
 def _drive(y0, loss, ctrl, theta_of, velocity, positive=False):
     """Integrate ``dy/dt = velocity(y, grad L(theta_of(y)))`` under ``ctrl``.
 
-    Fixed mode accepts every RK4 step; adaptive mode proposes step-doubling
-    steps, accepts those within tolerance, and rescales ``h`` after each.
-    When the step count is known up front, only the rows ``_decimate`` would
-    keep are appended; otherwise every accepted step is, and ``_decimate``
-    thins them at the end (on the kept rows it is the identity).
+    Fixed mode accepts every RK4 step and then evaluates the loss at the new
+    point. Adaptive mode proposes Dormand–Prince steps, accepts those within
+    tolerance, and rescales ``h`` after each; an accepted step's last stage
+    is already that evaluation and its velocity is the next first stage, so
+    each attempt costs six loss calls. When the step count is known up
+    front, only the rows the run returns are written, into arrays of
+    exactly that many rows; otherwise every accepted step is, and
+    ``_Columns.kept`` thins them at the end (on the kept rows it is the
+    identity).
     """
 
     def rhs(y):
         return velocity(y, loss.gradient(theta_of(y)))
 
+    def evaluate(y):
+        theta = theta_of(y)
+        return (theta, *_value_and_gradient(loss, theta))
+
     adaptive = ctrl.mode == "adaptive"
     t, h = 0.0, ctrl.h
     y = np.array(y0, dtype=float)
-    theta = theta_of(y)
-    val, g = _value_and_gradient(loss, theta)
+    theta, val, g = evaluate(y)
     xi = np.zeros(y.shape[1])
-    columns = ([t], [y], [theta], [xi], [val], [g])  # the Trajectory rows
     stride, last = _kept_steps(ctrl)
+    # the Trajectory rows: exactly the kept ones when they are known
+    capacity = 256 if last is None else math.ceil(last / stride) + 1
+    columns = _Columns((t, y, theta, xi, val, g), capacity)
+    if adaptive:
+        k = np.empty((7, y.size))  # Dormand–Prince stages
+        k[0] = velocity(y, g).ravel()
     step = 0
     optimum = getattr(loss, "optimal_value", 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while (h := _next_step(t, h, ctrl.t_max)) is not None:
-            k1 = velocity(y, g)
             if adaptive:
-                y_new, ratio = _doubling_step(y, h, k1, rhs)
+                y_new, ratio, state = _dopri_step(y, h, k, rhs, evaluate, velocity)
             else:
-                y_new, ratio = _rk4_step(y, h, k1, rhs), 0.0
+                y_new, ratio = _rk4_step(y, h, velocity(y, g), rhs), 0.0
+                state = evaluate(y_new)
             if ratio <= 1.0:
                 y, t = y_new, t + h
-                theta = theta_of(y)
-                val, g_new = _value_and_gradient(loss, theta)
-                _guard(y, theta, t, positive)
+                theta, val, g_new = state
+                _guard(y, theta, t, h, positive)
                 xi = xi - (0.5 * h) * (g + g_new)
                 g = g_new
                 step += 1
                 if step % stride == 0 or step == last:
-                    for column, v in zip(columns, (t, y, theta, xi, val, g)):
-                        column.append(v)
+                    columns.append((t, y, theta, xi, val, g))
                 if ctrl.stop_gap is not None and val - optimum <= ctrl.stop_gap:
                     break
+                if adaptive:
+                    k[0] = k[6]
             if adaptive:
                 factor = 5.0 if ratio == 0.0 else 0.9 * ratio ** -0.2
                 h *= min(max(factor, 0.2), 5.0)
                 if h < _MIN_STEP_FRACTION * max(t, 1.0):
-                    raise StepUnderflowError(t)
-    return Trajectory(*_decimate(columns, ctrl.max_points), optimum=optimum)
+                    raise StepUnderflowError(t, h)
+    return Trajectory(*columns.kept(ctrl.max_points), optimum=optimum)

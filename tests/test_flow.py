@@ -22,7 +22,7 @@ from diagflow import (
     theta_rhs,
     write_trajectory_csv,
 )
-from diagflow.flow import SNAPSHOT_BLOCK
+from diagflow.flow import _MIN_STEP_FRACTION, DIVERGENCE_LIMIT, SNAPSHOT_BLOCK
 
 # theta(1) for the scalar benchmark below (u0=1, v0=2, loss theta^2),
 # computed once with explicit Euler at step 1e-6
@@ -228,7 +228,12 @@ def test_divergence_guard_branches(run, h, message):
     with pytest.raises(DivergenceError) as err:
         run(h)
     assert str(err.value) == message
-    assert err.value.time == h
+    assert err.value.time == err.value.h == h
+    top = err.value.max_abs_theta
+    if "non-finite" in message:
+        assert not np.isfinite(top)
+    else:
+        assert (top > DIVERGENCE_LIMIT) == ("diverged" in message)
 
 
 def test_adaptive_step_underflow():
@@ -238,6 +243,8 @@ def test_adaptive_step_underflow():
     with pytest.raises(StepUnderflowError) as err:
         integrate(LayerStack([[1.0], [2.0]]), loss, ctrl)
     assert err.value.time == 0.0
+    assert 0 < err.value.h < _MIN_STEP_FRACTION
+    assert str(err.value) == f"adaptive step size underflow at t=0 (h={err.value.h:.3g})"
 
 
 def test_snapshot_decimation_caps_points_but_not_xi_accuracy():
@@ -275,7 +282,7 @@ def _decimation_rows(k, max_points):
     (StepController(h=0.03, t_max=1.0, max_points=5), 35),      # T is not a multiple of h
     (StepController(h=1e-3, t_max=2.3, max_points=333), 2301),
     (StepController(h=1e-2, t_max=50.0, max_points=9, stop_gap=1e-3), 419),
-    (StepController(mode="adaptive", t_max=5.0, max_points=11), 92),
+    (StepController(mode="adaptive", t_max=5.0, max_points=11), 98),
 ], ids=["rows_m+1", "rows_m", "rows_m-1", "m2", "m3", "m7", "ragged_T", "long_ragged_T",
         "stop_gap", "adaptive"])
 def test_kept_rows_are_the_undecimated_rows_at_the_decimation_indices(ctrl, full_rows):
@@ -304,6 +311,56 @@ def test_fixed_run_holds_only_the_snapshots_it_returns():
         tracemalloc.stop()
     assert len(traj) == 3335
     assert peak <= 2 * sum(getattr(traj, name).nbytes for name in _FIELDS)
+
+
+def test_adaptive_run_holds_its_rows_in_arrays():
+    # 2,018 accepted steps, every row kept: the rows go into arrays that
+    # double as they fill; a list of per-row arrays peaked at 4.0 times the
+    # returned arrays
+    loss = make_problem(6, 4, 0)
+    stack0 = init_layers(4, 4, InitScheme("uniform", scale=0.3), seed=1)
+    tracemalloc.start()
+    try:
+        traj = integrate(stack0, loss, StepController(mode="adaptive", t_max=500.0, max_points=10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sum(getattr(traj, name).nbytes for name in _FIELDS)
+    assert len(traj) == 2019
+
+
+class _CountingLoss:
+    """A loss that counts its calls per entry point."""
+
+    def __init__(self, loss):
+        self._loss = loss
+        self.optimal_value = loss.optimal_value
+        self.calls = dict.fromkeys(("value", "gradient", "value_and_gradient"), 0)
+
+    def value(self, theta):
+        self.calls["value"] += 1
+        return self._loss.value(theta)
+
+    def gradient(self, theta):
+        self.calls["gradient"] += 1
+        return self._loss.gradient(theta)
+
+    def value_and_gradient(self, theta):
+        self.calls["value_and_gradient"] += 1
+        return self._loss.value_and_gradient(theta)
+
+
+def test_adaptive_step_costs_six_loss_calls():
+    # each attempted step takes five gradients and one value and gradient at
+    # the new point, which an accepted step reuses (RK4 step doubling took
+    # eleven calls per attempt)
+    loss = _CountingLoss(make_problem(5, 3, 16))
+    stack0 = init_layers(3, 3, InitScheme("uniform"), seed=17)
+    traj = integrate(stack0, loss, StepController(mode="adaptive", t_max=5.0, max_points=10**6))
+    assert sum(loss.calls.values()) <= 7 * (len(traj) - 1)
+    attempts = loss.calls["value_and_gradient"] - 1  # one call at the start
+    assert loss.calls["value"] == 0
+    assert loss.calls["gradient"] == 5 * attempts
 
 
 @pytest.mark.parametrize("overlap", [0, 1, 2])
@@ -451,8 +508,8 @@ def _reference_thetas(velocity, y0, times, theta_of):
 
 
 # Worst theta errors measured at T=2 against the reference: fixed RK4 at
-# h=1e-3 1.5e-11 untied and 9.4e-9 tied; adaptive step doubling 7.1e-8
-# untied and 1.7e-7 tied. The bounds leave a factor of at least 5.
+# h=1e-3 1.5e-11 untied and 9.4e-9 tied; adaptive Dormand–Prince 2.6e-9
+# untied and 2.6e-8 tied. The bounds leave a factor of at least 5.
 @pytest.mark.parametrize("mode, bound", [("fixed", 1e-9), ("adaptive", 1e-6)])
 @pytest.mark.parametrize("num_layers", [2, 3, 4, 5])
 def test_integrate_matches_scipy_reference(num_layers, mode, bound):
