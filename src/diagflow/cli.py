@@ -33,7 +33,8 @@ import numpy as np
 
 from . import paramcheck as pc
 from .conservation import SingularMobilityError, TiedMinimumError, locate_min_layers
-from .experiments import ExperimentConfig, NewtonError, run_bias, run_convergence, run_crossings
+from .experiments import (FLOW_LIMIT_GAP, ExperimentConfig, NewtonError, run_bias,
+                          run_convergence, run_crossings)
 from .flow import DivergenceError, StepController, StepUnderflowError, integrate
 from .model import InitScheme
 from .report import build_diagnostics, write_trajectory_csv
@@ -120,7 +121,8 @@ def _parse(parser: argparse.ArgumentParser,
 
     Config-file flags are parsed like command-line flags, and explicit
     flags win over them; unset values fall back to ``_DEFAULTS`` and then to
-    the ``ExperimentConfig`` defaults, which also check the ranges.
+    the ``ExperimentConfig`` defaults, which also check the ranges (for
+    ``bias``, ``n < dim`` too).
     """
     args = vars(parser.parse_args(argv))
     if "config" in args:
@@ -146,9 +148,12 @@ def _parse(parser: argparse.ArgumentParser,
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read --init-file: {exc}")
     try:
-        return command, ExperimentConfig(**opts), output, diagnostics
+        cfg = ExperimentConfig(**opts)
+        if command == "bias":
+            cfg.require_underdetermined()
     except ValueError as exc:
         parser.error(str(exc))
+    return command, cfg, output, diagnostics
 
 
 def _print_table(rows: list[tuple[str, str, bool | None]]) -> bool:
@@ -222,6 +227,9 @@ def _cmd_bias(cfg: ExperimentConfig, want_diag: bool):
     diag = build_diagnostics(last.trajectory, entropy=last.entropy) if want_diag else None
     rows = []
     for r in result.rows:
+        # the other rows describe the flow limit only once the flow is there
+        rows.append((f"alpha={r.alpha:g} flow gap", f"{r.flow_gap:.3e}",
+                     r.flow_gap <= FLOW_LIMIT_GAP))
         rows.append((f"alpha={r.alpha:g} L1 excess", f"{r.l1_norm - r.l1_min:.6g}", None))
         rows.append((f"alpha={r.alpha:g} flow-vs-stationary mismatch",
                      f"{r.linf_mismatch:.3e}", r.linf_mismatch <= BIAS_MISMATCH_TOL))

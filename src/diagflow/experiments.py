@@ -83,6 +83,11 @@ class ExperimentConfig:
             if not np.all(np.isfinite(self.values)):
                 raise ValueError("explicit values must be finite")
 
+    def require_underdetermined(self) -> None:
+        """Raise ``ValueError`` unless ``n < dim``, as ``run_bias`` needs."""
+        if self.n >= self.dim:
+            raise ValueError("bias experiment expects an underdetermined instance (n < dim)")
+
     def init_scheme(self) -> InitScheme:
         return InitScheme(self.scheme, scale=self.scale, values=self.values)
 
@@ -424,8 +429,7 @@ def run_bias(cfg: ExperimentConfig, alphas=(1.0, 0.1, 0.01),
     positive data. The flow runs adaptively until the loss gap falls below
     ``FLOW_LIMIT_GAP`` or ``cfg.t_max`` is reached.
     """
-    if cfg.n >= cfg.dim:
-        raise ValueError("bias experiment expects an underdetermined instance (n < dim)")
+    cfg.require_underdetermined()
     if model == "redundant":
         # the tied model lives on the positive orthant, so the target must
         # be the image of a positive coefficient vector to be reachable

@@ -66,14 +66,10 @@ class StepController:
 
     ``mode`` is ``"fixed"`` (RK4 with step ``h``) or ``"adaptive"``
     (Dormand–Prince 5(4) with FSAL from ``h``, to ``_RTOL`` = 1e-8 and
-    ``_ATOL`` = 1e-10). ``max_points`` caps the number of stored snapshots;
-    the dual-variable quadrature always runs on the undecimated grid. A
-    fixed-step run without ``stop_gap`` knows its grid in advance, so it
-    holds only the O(``max_points``) snapshots it returns; adaptive and
-    ``stop_gap`` runs record every accepted step into arrays that double as
-    they fill, and decimate at the end. Both keep the same rows.
-    ``stop_gap``, when set, ends the run early once ``loss - optimal_value``
-    drops to that level.
+    ``_ATOL`` = 1e-10). ``max_points`` caps the number of stored snapshots
+    by the snapshot rule of ``_Columns``; the dual-variable quadrature always
+    runs on the undecimated grid. ``stop_gap``, when set, ends the run early
+    once ``loss - optimal_value`` drops to that level.
     """
 
     mode: str = "fixed"
@@ -91,6 +87,8 @@ class StepController:
             raise ValueError("t_max must be positive and finite")
         if self.max_points < 2:
             raise ValueError("max_points must be at least 2")
+        if self.stop_gap is not None and not 0 <= self.stop_gap < math.inf:
+            raise ValueError("stop_gap must be None or finite and non-negative")
 
 
 @dataclass(eq=False)
@@ -151,13 +149,6 @@ def theta_rhs(stack: LayerStack, loss) -> np.ndarray:
     return -mobility(stack.layers) * loss.gradient(theta_of_layers(stack.layers))
 
 
-def _value_and_gradient(loss, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    vg = getattr(loss, "value_and_gradient", None)
-    if vg is not None:
-        return vg(theta)
-    return loss.value(theta), loss.gradient(theta)
-
-
 def _guard(y: np.ndarray, theta: np.ndarray, t: float, h: float, positive: bool) -> None:
     top = float(np.abs(theta).max())
     if not (np.isfinite(y).all() and np.isfinite(theta).all()):
@@ -169,23 +160,50 @@ def _guard(y: np.ndarray, theta: np.ndarray, t: float, h: float, positive: bool)
                               f"state left the positive orthant at t={t:.6g}; reduce the step size")
 
 
-def _stride(k: int, max_points: int) -> int:
-    """Keep every ``stride``-th of ``k`` rows, plus the last, to hold at most ``max_points``."""
-    return math.ceil(k / (max_points - 1)) if k > max_points else 1
+def _next_step(t: float, h: float, t_end: float) -> float | None:
+    """The step ``_drive`` takes from ``t`` (clipped to end at ``t_end``); None once done."""
+    return min(h, t_end - t) if t < t_end - 1e-12 * t_end else None
 
 
 class _Columns:
-    """The six ``Trajectory`` columns, written row by row into preallocated arrays.
+    """The snapshot rule, and the six ``Trajectory`` columns of the rows it keeps.
 
-    They start at ``capacity`` rows and double whenever they fill.
+    The rule: of the ``K`` rows of a run (the initial state, step 0, and
+    each accepted step), keep every ``stride``-th plus the last, where the
+    stride is 1 if ``K <= max_points`` and ``ceil(K / (max_points - 1))``
+    otherwise, so that at most ``max_points`` rows are kept. When the time
+    grid does not depend on the state (a fixed-step run without
+    ``stop_gap``), ``K`` is counted up front by ``_drive``'s own recurrence,
+    only the kept rows are written, and the arrays hold exactly that many.
+    Otherwise every row is written, into arrays that start at 256 rows and
+    double as they fill, and ``kept`` thins them at the end. On the rows of
+    a counted grid that thinning is the identity, so both paths keep the
+    same rows.
     """
 
-    def __init__(self, row: tuple, capacity: int):
+    def __init__(self, row: tuple, ctrl: StepController):
+        self.max_points = ctrl.max_points
+        self.stride, self.last, capacity = 1, None, 256
+        if ctrl.mode == "fixed" and ctrl.stop_gap is None:
+            t, h, steps = 0.0, ctrl.h, 0
+            while (h := _next_step(t, h, ctrl.t_max)) is not None:
+                t, steps = t + h, steps + 1
+            self.stride, self.last = self._stride(steps + 1), steps
+            capacity = math.ceil(steps / self.stride) + 1
         self.arrays = [np.empty((capacity, *np.shape(v))) for v in row]
-        self.count = 0
-        self.append(row)
+        self.count = self.step = 0
+        self._write(row)
 
-    def append(self, row: tuple) -> None:
+    def _stride(self, k: int) -> int:
+        return math.ceil(k / (self.max_points - 1)) if k > self.max_points else 1
+
+    def add(self, row: tuple) -> None:
+        """The row of the next accepted step, written if the rule keeps it."""
+        self.step += 1
+        if self.step % self.stride == 0 or self.step == self.last:
+            self._write(row)
+
+    def _write(self, row: tuple) -> None:
         if self.count == len(self.arrays[0]):
             for i, old in enumerate(self.arrays):  # one column at a time, to bound the peak
                 self.arrays[i] = np.empty((2 * len(old), *old.shape[1:]))
@@ -194,10 +212,10 @@ class _Columns:
             column[self.count] = v
         self.count += 1
 
-    def kept(self, max_points: int) -> list[np.ndarray]:
-        """Every ``stride``-th row plus the last, the stride capping them at ``max_points``."""
+    def kept(self) -> list[np.ndarray]:
+        """The columns at the kept rows, thinned by the rule."""
         k = self.count
-        stride = _stride(k, max_points)
+        stride = self._stride(k)
         if stride == 1 and k == len(self.arrays[0]):
             return self.arrays
         rows = np.arange(0, k, stride)
@@ -206,30 +224,10 @@ class _Columns:
         return [self.arrays.pop(0)[rows] for _ in range(len(self.arrays))]
 
 
-def _next_step(t: float, h: float, t_end: float) -> float | None:
-    """The step ``_drive`` takes from ``t`` (clipped to end at ``t_end``); None once done."""
-    return min(h, t_end - t) if t < t_end - 1e-12 * t_end else None
-
-
-def _kept_steps(ctrl: StepController) -> tuple[int, int | None]:
-    """Stride and last step of the rows ``_Columns.kept`` keeps, or ``(1, None)``.
-
-    Known up front only when the time grid does not depend on the state: a
-    fixed-step run without ``stop_gap``, counted by ``_drive``'s recurrence.
-    """
-    if ctrl.mode != "fixed" or ctrl.stop_gap is not None:
-        return 1, None
-    t, h, steps = 0.0, ctrl.h, 0
-    while (h := _next_step(t, h, ctrl.t_max)) is not None:
-        t, steps = t + h, steps + 1
-    return _stride(steps + 1, ctrl.max_points), steps
-
-
 def integrate(stack0: LayerStack, loss, ctrl: StepController) -> Trajectory:
     """Run gradient flow on the layers from ``stack0`` until ``ctrl.t_max``.
 
-    Snapshots are taken at every ``stride``-th accepted step plus the last,
-    with the stride that caps them at ``ctrl.max_points``; xi is accumulated
+    Snapshots follow the snapshot rule of ``_Columns``; xi is accumulated
     by the trapezoidal rule on the full accepted grid. Deterministic given
     its inputs.
 
@@ -262,11 +260,14 @@ def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepControl
     return replace(traj, layers=np.repeat(traj.layers, L, axis=1))
 
 
-def _rk4_step(y, h, k1, rhs):
+def _rk4_step(y, h, k, rhs, evaluate):
+    """One classical RK4 step; its error ratio is 0, so every step is accepted."""
+    k1 = k[0]
     k2 = rhs(y + (0.5 * h) * k1)
     k3 = rhs(y + (0.5 * h) * k2)
     k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y_new, 0.0, evaluate(y_new)
 
 
 # Dormand–Prince 5(4) (J. Comput. Appl. Math. 6, 1980; scipy's RK45). Stage
@@ -286,83 +287,76 @@ _DP_A = np.array([
 _DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
 
 
-def _dopri_step(y, h, k, rhs, evaluate, velocity):
-    """One Dormand–Prince step from ``y``, the velocity at ``y`` in ``k[0]``.
+def _dopri_step(y, h, k, rhs, evaluate):
+    """One Dormand–Prince step, filling all 7 stages of ``k``.
 
-    Fills the rest of the stage buffer ``k`` (7 rows of ``y.size``). The
-    last stage evaluates the loss at the new point once, by ``evaluate``.
-    Returns the 5th-order solution, its error ratio against the 4th-order
-    one, and that stage's ``(theta, value, gradient)``.
+    Its error ratio is the max-norm of the 5th- minus the 4th-order solution
+    over ``_ATOL + _RTOL * max(|y|, |y_new|)``, and infinite when not finite.
     """
-    hA = h * _DP_A
+    hA, flat = h * _DP_A, k.reshape(len(k), -1)  # flat: the stages as rows
     for i in range(1, 6):
-        k[i] = rhs(y + (hA[i, :i] @ k[:i]).reshape(y.shape)).ravel()
-    y_new = y + (hA[6] @ k[:6]).reshape(y.shape)
+        k[i] = rhs(y + (hA[i, :i] @ flat[:i]).reshape(y.shape))
+    y_new = y + (hA[6] @ flat[:6]).reshape(y.shape)
     state = evaluate(y_new)
-    k[6] = velocity(y_new, state[2]).ravel()
     scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new)).ravel()
-    ratio = float(np.max(np.abs((h * _DP_E) @ k) / scale))
+    ratio = float(np.max(np.abs((h * _DP_E) @ flat) / scale))
     return y_new, (ratio if np.isfinite(ratio) else np.inf), state
 
 
 def _drive(y0, loss, ctrl, theta_of, velocity, positive=False):
     """Integrate ``dy/dt = velocity(y, grad L(theta_of(y)))`` under ``ctrl``.
 
-    Fixed mode accepts every RK4 step and then evaluates the loss at the new
-    point. Adaptive mode proposes Dormand–Prince steps, accepts those within
-    tolerance, and rescales ``h`` after each; an accepted step's last stage
-    is already that evaluation and its velocity is the next first stage, so
-    each attempt costs six loss calls. When the step count is known up
-    front, only the rows the run returns are written, into arrays of
-    exactly that many rows; otherwise every accepted step is, and
-    ``_Columns.kept`` thins them at the end (on the kept rows it is the
-    identity).
+    Both steppers share one protocol: ``step(y, h, k, rhs, evaluate)``
+    starts with the velocity at ``y`` in ``k[0]`` of the stage buffer,
+    evaluates the loss at its new point once, by ``evaluate``, which leaves
+    the velocity there in ``k[-1]``, and returns ``(y_new, error_ratio,
+    (theta, value, gradient))``. A step with ratio at most 1 is accepted and
+    hands ``k[-1]`` on as the next ``k[0]`` (FSAL). Fixed mode's RK4 steps
+    cost three ``gradient`` calls and one ``value_and_gradient``, adaptive
+    mode's Dormand–Prince steps five and one per attempt, after which the
+    controller rescales ``h``. The snapshot rule is ``_Columns``'s.
     """
+    value_and_gradient = getattr(loss, "value_and_gradient", None)
+    if value_and_gradient is None:
+        def value_and_gradient(theta):
+            return loss.value(theta), loss.gradient(theta)
 
     def rhs(y):
         return velocity(y, loss.gradient(theta_of(y)))
 
     def evaluate(y):
         theta = theta_of(y)
-        return (theta, *_value_and_gradient(loss, theta))
+        value, g = value_and_gradient(theta)
+        k[-1] = velocity(y, g)
+        return theta, value, g
 
     adaptive = ctrl.mode == "adaptive"
+    step = _dopri_step if adaptive else _rk4_step
     t, h = 0.0, ctrl.h
     y = np.array(y0, dtype=float)
-    theta, val, g = evaluate(y)
-    xi = np.zeros(y.shape[1])
-    stride, last = _kept_steps(ctrl)
-    # the Trajectory rows: exactly the kept ones when they are known
-    capacity = 256 if last is None else math.ceil(last / stride) + 1
-    columns = _Columns((t, y, theta, xi, val, g), capacity)
-    if adaptive:
-        k = np.empty((7, y.size))  # Dormand–Prince stages
-        k[0] = velocity(y, g).ravel()
-    step = 0
+    k = np.empty((len(_DP_A), *y.shape))  # RK4 uses only the first and the last stage
     optimum = getattr(loss, "optimal_value", 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        theta, val, g = evaluate(y)
+        k[0] = k[-1]
+        xi = np.zeros(y.shape[1])
+        columns = _Columns((t, y, theta, xi, val, g), ctrl)
         while (h := _next_step(t, h, ctrl.t_max)) is not None:
-            if adaptive:
-                y_new, ratio, state = _dopri_step(y, h, k, rhs, evaluate, velocity)
-            else:
-                y_new, ratio = _rk4_step(y, h, velocity(y, g), rhs), 0.0
-                state = evaluate(y_new)
+            y_new, ratio, state = step(y, h, k, rhs, evaluate)
             if ratio <= 1.0:
                 y, t = y_new, t + h
                 theta, val, g_new = state
                 _guard(y, theta, t, h, positive)
                 xi = xi - (0.5 * h) * (g + g_new)
                 g = g_new
-                step += 1
-                if step % stride == 0 or step == last:
-                    columns.append((t, y, theta, xi, val, g))
+                columns.add((t, y, theta, xi, val, g))
                 if ctrl.stop_gap is not None and val - optimum <= ctrl.stop_gap:
                     break
-                if adaptive:
-                    k[0] = k[6]
-            if adaptive:
+                k[0] = k[-1]
+            if adaptive:  # the step-size controller, whose floor binds only before t_max
                 factor = 5.0 if ratio == 0.0 else 0.9 * ratio ** -0.2
                 h *= min(max(factor, 0.2), 5.0)
-                if h < _MIN_STEP_FRACTION * max(t, 1.0):
+                if (h < _MIN_STEP_FRACTION * max(t, 1.0)
+                        and _next_step(t, h, ctrl.t_max) is not None):
                     raise StepUnderflowError(t, h)
-    return Trajectory(*columns.kept(ctrl.max_points), optimum=optimum)
+    return Trajectory(*columns.kept(), optimum=optimum)

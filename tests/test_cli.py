@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,16 @@ def test_bias_run(tmp_path, capsys):
     assert len(lines) == 4  # default three-scale sweep
 
 
+@pytest.mark.parametrize("flags, code, status", [([], 0, "pass"), (["--tmax", "0.001"], 1, "FAIL")],
+                         ids=["defaults", "stopped_at_tmax"])
+def test_bias_checks_that_each_flow_reached_its_limit(capsys, flags, code, status):
+    # the defaults end at gaps of 6e-11 to 8e-11; --tmax 0.001 stops the flows at gaps near 1
+    assert main(["bias", *flags]) == code
+    rows = [line for line in capsys.readouterr().out.splitlines() if " flow gap " in line]
+    assert [row.split()[0] for row in rows] == ["alpha=1", "alpha=0.1", "alpha=0.01"]
+    assert all(row.endswith(status) for row in rows)
+
+
 def test_paramcheck_table(capsys):
     assert main(["paramcheck", "--samples", "25", "--seed", "4"]) == 0
     out = capsys.readouterr().out
@@ -200,17 +212,22 @@ def test_init_file_of_the_wrong_shape_is_a_usage_error(tmp_path, monkeypatch, ca
     assert not (tmp_path / "d.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [["--tmax", "nan"], ["--tmax", "inf"], ["--step", "nan"],
-                                   ["--init-scale", "nan"], ["--seed", "-1"],
-                                   ["--init-scheme", "explicit", "--init-file", "nan.txt"]])
+_SIMULATE = ["simulate", "--layers", "2", "--dim", "2"]
+
+
+@pytest.mark.parametrize("flags", [[*_SIMULATE, "--tmax", "nan"], [*_SIMULATE, "--tmax", "inf"],
+                                   [*_SIMULATE, "--step", "nan"],
+                                   [*_SIMULATE, "--init-scale", "nan"], [*_SIMULATE, "--seed", "-1"],
+                                   [*_SIMULATE, "--init-scheme", "explicit", "--init-file", "nan.txt"],
+                                   ["bias", "--samples", "6", "--dim", "6"]])
 def test_out_of_range_value_is_a_usage_error(tmp_path, monkeypatch, capsys, flags):
     # rejected while parsing, before any file is written
     monkeypatch.chdir(tmp_path)
     np.savetxt(tmp_path / "nan.txt", [[0.5, np.nan], [0.5, 0.8]])
     with pytest.raises(SystemExit) as err:
-        main(["simulate", "--layers", "2", "--dim", "2", *flags, "--output", "o.csv"])
+        main([*flags, "--output", "o.csv"])
     assert err.value.code == 2
-    assert "must be" in capsys.readouterr().err
+    assert re.search("must be|expects an underdetermined instance", capsys.readouterr().err)
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -247,6 +247,20 @@ def test_adaptive_step_underflow():
     assert str(err.value) == f"adaptive step size underflow at t=0 (h={err.value.h:.3g})"
 
 
+@pytest.mark.parametrize("ctrl", [
+    StepController(mode="adaptive", t_max=1e-15),
+    StepController(mode="adaptive", t_max=1e-300),
+    StepController(mode="adaptive", t_max=1e-3 + 1.5e-15),  # a last step of 1.5e-15
+    StepController(h=1e-17, t_max=1e-15),                   # fixed steps below the floor
+], ids=["adaptive_1e-15", "adaptive_1e-300", "adaptive_ragged", "fixed_tiny_step"])
+def test_a_finished_run_never_underflows(ctrl):
+    # the floor binds only while the run is unfinished: the controller's
+    # step after a short last one may fall below it
+    loss = make_problem(5, 3, 16)
+    traj = integrate(init_layers(3, 3, InitScheme("uniform"), seed=17), loss, ctrl)
+    assert traj.times[-1] == pytest.approx(ctrl.t_max, rel=1e-12)
+
+
 def test_snapshot_decimation_caps_points_but_not_xi_accuracy():
     loss = make_problem(5, 3, 16)
     stack0 = init_layers(3, 2, InitScheme("uniform"), seed=17)
@@ -407,6 +421,10 @@ def test_controller_validation():
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 StepController(**{field: value})
+    for gap in (np.nan, np.inf, -1e-12):
+        with pytest.raises(ValueError, match="stop_gap must be"):
+            StepController(stop_gap=gap)
+    assert StepController(stop_gap=0.0).stop_gap == 0.0
 
 
 def test_csv_export_roundtrip(tmp_path):
