@@ -5,10 +5,13 @@ Trains the layers by the continuous-time dynamic
     du^j/dt = -(prod_{k != j} u^k) * grad L(theta),   theta = prod_j u^j,
 
 with a classical fixed-step RK4 scheme by default and an optional adaptive
-mode for stiff, large-initialization runs: the Dormand–Prince 5(4) pair,
-whose last stage is the next step's first (FSAL), so an attempted step
-costs six loss evaluations. Along the trajectory the accumulated dual
-variable
+mode for stiff, large-initialization runs and long plateaus. Adaptive runs
+start on the Dormand–Prince 5(4) pair, whose last stage is the next step's
+first (FSAL), and watch its stages with Hairer's stiffness test. A run
+that fails the test, and whose loss offers ``hessian``, goes on for good
+with RODAS4, an L-stable Rosenbrock pair of order 4(3) that uses the flow's
+Jacobian. Either way an attempted step costs six loss evaluations. Along
+the trajectory the accumulated dual variable
 
     xi(t) = -integral_0^t grad L(theta(s)) ds
 
@@ -34,6 +37,12 @@ _MIN_STEP_FRACTION = 1e-14
 
 # Adaptive mode's per-component error tolerances, relative and absolute.
 _RTOL, _ATOL = 1e-8, 1e-10
+
+# Hairer's stiffness test (dopri5.f): an accepted Dormand–Prince step fails
+# it when its estimate of h * lambda exceeds _STIFF_H_LAMBDA, near the
+# boundary of the pair's stability region. _STIFF_FAILS failures, with no
+# run of _STIFF_RESET passes between them, make the run stiff.
+_STIFF_H_LAMBDA, _STIFF_FAILS, _STIFF_RESET = 3.25, 15, 6
 
 # Snapshots a diagnostic holds at once (``Trajectory.blocks``), so that its
 # temporaries are O(block * L * d) however long the trajectory is.
@@ -65,10 +74,12 @@ class StepController:
     """Integrator settings.
 
     ``mode`` is ``"fixed"`` (RK4 with step ``h``) or ``"adaptive"``
-    (Dormand–Prince 5(4) with FSAL from ``h``, to ``_RTOL`` = 1e-8 and
-    ``_ATOL`` = 1e-10). ``max_points`` caps the number of stored snapshots
-    by the snapshot rule of ``_Columns``; the dual-variable quadrature always
-    runs on the undecimated grid. ``stop_gap``, when set, ends the run early
+    (from ``h``, to ``_RTOL`` = 1e-8 and ``_ATOL`` = 1e-10: Dormand–Prince
+    5(4) with FSAL, then RODAS4 if the run fails the stiffness test and the
+    loss has ``hessian``; the switch rule is ``_drive``'s). ``max_points``
+    caps the number of stored snapshots by the snapshot rule of
+    ``_Columns``; the dual-variable quadrature always runs on the
+    undecimated grid. ``stop_gap``, when set, ends the run early
     once ``loss - optimal_value`` drops to that level.
     """
 
@@ -137,6 +148,35 @@ class Trajectory:
 
 def _layer_velocity(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -leave_one_out_products(y) * g
+
+
+def _layer_jacobian(y: np.ndarray, g: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Jacobian of ``_layer_velocity`` in ``y.ravel()``'s layer-major order.
+
+    With ``P_j`` the product of the layers other than j and ``Q_jk`` that of
+    the layers other than j and k, both without division (a layer may hold
+    exact zeros), block (j, k) is ``-diag(P_j) H diag(P_k)``, less
+    ``diag(Q_jk g)`` when j != k; ``H`` is the loss's Hessian.
+    """
+    L, d = y.shape
+    P = leave_one_out_products(y).ravel()
+    J = -P[:, None] * np.tile(H, (L, L)) * P
+    others = np.broadcast_to(y, (L, L, L, d)).copy()
+    layer, i = np.arange(L), np.arange(d)
+    others[layer, :, layer] = 1.0  # others[j, k] drops layers j and k
+    others[:, layer, layer] = 1.0
+    Qg = others.prod(axis=2) * g
+    Qg[layer, layer] = 0.0
+    J.reshape(L, d, L, d)[:, i, :, i] -= Qg.transpose(2, 0, 1)
+    return J
+
+
+def _tied_jacobian(y: np.ndarray, g: np.ndarray, H: np.ndarray, L: int) -> np.ndarray:
+    """Jacobian of the tied velocity ``-L u^(L-1) g`` of the row ``y = [u]``:
+    ``-L(L-1) diag(u^(L-2) g) - D H D`` with ``D = diag(L u^(L-1))``."""
+    u = y[0]
+    D = L * u ** (L - 1)
+    return np.diag(-L * (L - 1) * u ** (L - 2) * g) - D[:, None] * H * D
 
 
 def layer_rhs(stack: LayerStack, loss) -> np.ndarray:
@@ -234,7 +274,8 @@ def integrate(stack0: LayerStack, loss, ctrl: StepController) -> Trajectory:
     Raises ``DivergenceError`` when the state leaves the finite region and,
     in adaptive mode, ``StepUnderflowError`` when no acceptable step exists.
     """
-    return _drive(stack0.layers, loss, ctrl, theta_of=theta_of_layers, velocity=_layer_velocity)
+    return _drive(stack0.layers, loss, ctrl, theta_of=theta_of_layers, velocity=_layer_velocity,
+                  jacobian=_layer_jacobian)
 
 
 def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepController) -> Trajectory:
@@ -256,7 +297,7 @@ def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepControl
     traj = _drive(u0[None, :], loss, ctrl,
                   theta_of=lambda y: y.repeat(L, axis=0).prod(axis=0),
                   velocity=lambda y, g: -L * y ** (L - 1) * g,
-                  positive=True)
+                  jacobian=lambda y, g, H: _tied_jacobian(y, g, H, L), positive=True)
     return replace(traj, layers=np.repeat(traj.layers, L, axis=1))
 
 
@@ -287,39 +328,122 @@ _DP_A = np.array([
 _DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
 
 
+def _error_ratio(err, y, y_new) -> float:
+    """Max-norm of ``err`` over ``_ATOL + _RTOL * max(|y|, |y_new|)``; infinite when not finite."""
+    scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new)).ravel()
+    ratio = float(np.max(np.abs(err) / scale))
+    return ratio if np.isfinite(ratio) else np.inf
+
+
 def _dopri_step(y, h, k, rhs, evaluate):
     """One Dormand–Prince step, filling all 7 stages of ``k``.
 
-    Its error ratio is the max-norm of the 5th- minus the 4th-order solution
-    over ``_ATOL + _RTOL * max(|y|, |y_new|)``, and infinite when not finite.
+    Its error ratio is that of the 5th- minus the 4th-order solution.
     """
     hA, flat = h * _DP_A, k.reshape(len(k), -1)  # flat: the stages as rows
     for i in range(1, 6):
         k[i] = rhs(y + (hA[i, :i] @ flat[:i]).reshape(y.shape))
     y_new = y + (hA[6] @ flat[:6]).reshape(y.shape)
     state = evaluate(y_new)
-    scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new)).ravel()
-    ratio = float(np.max(np.abs((h * _DP_E) @ flat) / scale))
-    return y_new, (ratio if np.isfinite(ratio) else np.inf), state
+    return y_new, _error_ratio((h * _DP_E) @ flat, y, y_new), state
 
 
-def _drive(y0, loss, ctrl, theta_of, velocity, positive=False):
+class _StiffnessTest:
+    """Hairer's stiffness test on the stages of accepted Dormand–Prince steps.
+
+    Stages 6 and 7 are velocities at two points ``h * (a7 - a6) @ k``
+    apart, so ``|k7 - k6| / |(a7 - a6) @ k|`` estimates h times the
+    Jacobian's spectral radius along the step.
+    """
+
+    _A76 = _DP_A[6] - _DP_A[5]
+
+    def __init__(self):
+        self.fails = self.passes = 0
+
+    def stiff(self, k) -> bool:
+        """Score the accepted step whose stages are ``k``; True once the run is stiff."""
+        flat = k.reshape(len(k), -1)
+        spread = np.linalg.norm(self._A76 @ flat[:6])
+        if np.linalg.norm(flat[6] - flat[5]) > _STIFF_H_LAMBDA * spread > 0:
+            self.fails, self.passes = self.fails + 1, 0
+        else:
+            self.passes += 1
+            if self.passes == _STIFF_RESET:
+                self.fails = 0
+        return self.fails == _STIFF_FAILS
+
+
+# RODAS4 (Hairer & Wanner, Solving ODEs II, §IV.7; rodas.f method 1): an
+# L-stable, stiffly accurate Rosenbrock pair of order 4(3). With W = I / (h
+# gamma) - J and J the Jacobian at y, stage i solves W K_i = f(y + _RO_A[i]
+# @ K) + (_RO_C[i] / h) @ K. Stage 6's point is stage 5's plus K_5, and
+# y_new is stage 6's point plus K_6, so K_6 is the error estimate.
+_RO_GAMMA = 0.25
+_RO_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1.544, 0, 0, 0, 0],
+    [0.9466785280815826, 0.2557011698983284, 0, 0, 0],
+    [3.314825187068521, 2.896124015972201, 0.9986419139977817, 0, 0],
+    [1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950, 0],
+    [1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950, 1],
+])
+_RO_C = np.array([
+    [0, 0, 0, 0, 0],
+    [-5.6688, 0, 0, 0, 0],
+    [-2.430093356833875, -0.2063599157091915, 0, 0, 0],
+    [-0.1073529058151375, -9.594562251023355, -20.47028614809616, 0, 0],
+    [7.496443313967647, -10.24680431464352, -33.99990352819905, 11.70890893206160, 0],
+    [8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
+     -6.058818238834054],
+])
+
+
+def _rodas_step(y, h, k, rhs, evaluate, jac):
+    """One RODAS4 step, given the Jacobian ``jac`` at ``y``.
+
+    ``W`` is inverted once (LAPACK's LU), so each stage's solve is a
+    product. Its error ratio is that of ``K_6``.
+    """
+    w_inv = np.linalg.inv(np.eye(y.size) / (h * _RO_GAMMA) - jac)
+    K = np.empty((6, y.size))
+    K[0] = w_inv @ k[0].ravel()
+    for i in range(1, 6):
+        f = rhs(y + (_RO_A[i, :i] @ K[:i]).reshape(y.shape))
+        K[i] = w_inv @ (f.ravel() + (_RO_C[i, :i] / h) @ K[:i])
+    y_new = y + (_RO_A[5] @ K[:5] + K[5]).reshape(y.shape)
+    state = evaluate(y_new)
+    return y_new, _error_ratio(K[5], y, y_new), state
+
+
+def _drive(y0, loss, ctrl, theta_of, velocity, jacobian, positive=False):
     """Integrate ``dy/dt = velocity(y, grad L(theta_of(y)))`` under ``ctrl``.
 
-    Both steppers share one protocol: ``step(y, h, k, rhs, evaluate)``
+    The steppers share one protocol: ``step(y, h, k, rhs, evaluate)``
     starts with the velocity at ``y`` in ``k[0]`` of the stage buffer,
     evaluates the loss at its new point once, by ``evaluate``, which leaves
     the velocity there in ``k[-1]``, and returns ``(y_new, error_ratio,
     (theta, value, gradient))``. A step with ratio at most 1 is accepted and
     hands ``k[-1]`` on as the next ``k[0]`` (FSAL). Fixed mode's RK4 steps
     cost three ``gradient`` calls and one ``value_and_gradient``, adaptive
-    mode's Dormand–Prince steps five and one per attempt, after which the
-    controller rescales ``h``. The snapshot rule is ``_Columns``'s.
+    mode's steps five and one per attempt, after which the controller
+    rescales ``h`` by ``0.9 * ratio ** -(1 / (q + 1))``, clipped to
+    [0.2, 5], with q the order of the step's error estimate.
+
+    The switch rule: adaptive runs start on Dormand–Prince (q = 4). When
+    the loss has ``hessian(theta)``, every accepted step is scored by
+    ``_StiffnessTest``, and a run that it finds stiff goes on with RODAS4
+    (q = 3) for good, one ``jacobian(y, g, H)`` (the velocity's Jacobian in
+    ``y.ravel()``'s order, given the gradient and Hessian at
+    ``theta_of(y)``) and one inverted ``W`` per attempt. A run that never
+    turns stiff keeps every float of a Dormand–Prince run. The step floor
+    binds only after a rejected step. The snapshot rule is ``_Columns``'s.
     """
     value_and_gradient = getattr(loss, "value_and_gradient", None)
     if value_and_gradient is None:
         def value_and_gradient(theta):
             return loss.value(theta), loss.gradient(theta)
+    hessian = getattr(loss, "hessian", None)
 
     def rhs(y):
         return velocity(y, loss.gradient(theta_of(y)))
@@ -330,11 +454,15 @@ def _drive(y0, loss, ctrl, theta_of, velocity, positive=False):
         k[-1] = velocity(y, g)
         return theta, value, g
 
+    def rodas_step(y, h, k, rhs, evaluate):  # y is the accepted state, at theta and g
+        return _rodas_step(y, h, k, rhs, evaluate, jacobian(y, g, hessian(theta)))
+
     adaptive = ctrl.mode == "adaptive"
-    step = _dopri_step if adaptive else _rk4_step
+    step, exponent = (_dopri_step if adaptive else _rk4_step), -0.2
+    stiffness = _StiffnessTest() if adaptive and hessian is not None else None
     t, h = 0.0, ctrl.h
     y = np.array(y0, dtype=float)
-    k = np.empty((len(_DP_A), *y.shape))  # RK4 uses only the first and the last stage
+    k = np.empty((len(_DP_A), *y.shape))  # RK4 and RODAS4 use only the first and the last stage
     optimum = getattr(loss, "optimal_value", 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         theta, val, g = evaluate(y)
@@ -352,11 +480,12 @@ def _drive(y0, loss, ctrl, theta_of, velocity, positive=False):
                 columns.add((t, y, theta, xi, val, g))
                 if ctrl.stop_gap is not None and val - optimum <= ctrl.stop_gap:
                     break
+                if stiffness is not None and stiffness.stiff(k):
+                    step, exponent, stiffness = rodas_step, -0.25, None
                 k[0] = k[-1]
-            if adaptive:  # the step-size controller, whose floor binds only before t_max
-                factor = 5.0 if ratio == 0.0 else 0.9 * ratio ** -0.2
+            if adaptive:  # the step-size controller
+                factor = 5.0 if ratio == 0.0 else 0.9 * ratio ** exponent
                 h *= min(max(factor, 0.2), 5.0)
-                if (h < _MIN_STEP_FRACTION * max(t, 1.0)
-                        and _next_step(t, h, ctrl.t_max) is not None):
+                if ratio > 1.0 and h < _MIN_STEP_FRACTION * max(t, 1.0):
                     raise StepUnderflowError(t, h)
     return Trajectory(*columns.kept(), optimum=optimum)

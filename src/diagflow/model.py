@@ -10,6 +10,9 @@ can be replaced by any smooth objective that has
 
 * ``value(theta)`` and ``gradient(theta)`` (required);
 * ``value_and_gradient(theta)``, used instead of the two calls when present;
+* ``hessian(theta)``, the ``(d, d)`` Hessian (optional): with it an
+  adaptive flow that turns stiff switches to the Rosenbrock step RODAS4,
+  without it the flow stays on Dormand–Prince;
 * ``optimal_value``, the infimum of the loss (optional, defaults to 0).
 
 Only the flow calls the loss: it reads ``optimal_value`` once per run and
@@ -104,13 +107,15 @@ class QuadraticLoss:
     construction from the normal equations with eigenvalue cutoff
     ``EIG_CUTOFF`` (relative). ``least_squares_solution`` is the associated
     minimum-norm minimizer, which for an underdetermined full-row-rank
-    system is the minimum-L2 interpolator.
+    system is the minimum-L2 interpolator. The constant Hessian ``2 X^T X``
+    is cached read-only as well.
     """
 
     X: np.ndarray
     y: np.ndarray
     optimal_value: float = field(init=False)
     least_squares_solution: np.ndarray = field(init=False)
+    _hessian: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         X = np.array(self.X, dtype=float)
@@ -127,6 +132,9 @@ class QuadraticLoss:
         object.__setattr__(self, "y", y)
 
         gram = X.T @ X
+        hessian = 2.0 * gram
+        hessian.setflags(write=False)
+        object.__setattr__(self, "_hessian", hessian)
         w, V = np.linalg.eigh(gram)
         w_max = w[-1] if w.size else 0.0
         inv = np.zeros_like(w)
@@ -164,6 +172,11 @@ class QuadraticLoss:
     def value_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         r = self.X @ self._check(theta) - self.y
         return float(r @ r), 2.0 * (self.X.T @ r)
+
+    def hessian(self, theta: np.ndarray) -> np.ndarray:
+        """``2 X^T X``, the same read-only array at every ``theta``."""
+        self._check(theta)
+        return self._hessian
 
     def gap(self, theta: np.ndarray) -> float:
         """Suboptimality ``value(theta) - optimal_value``."""

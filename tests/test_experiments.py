@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from diagflow import (
     init_layers,
     InitScheme,
     integrate,
+    integrate_redundant,
     locate_min_layers,
     make_problem,
     min_l1_norm,
@@ -27,6 +29,7 @@ from diagflow import (
     solve_kkt,
     time_to_gap,
 )
+from diagflow.experiments import FLOW_LIMIT_GAP
 
 
 def test_pl_constant_identity_design():
@@ -377,6 +380,30 @@ def test_run_bias_redundant_model():
     res = run_bias(cfg, alphas=(1.0,), model="redundant")
     assert res.max_mismatch <= 1e-3
     assert np.all(res.rows[0].theta_flow > 0)
+
+
+# The tied cases the benchmark leaves out for run length, on run_bias's
+# instance (n=3, d=6, seed 0): both flows park at the saddle where theta_2
+# alone is ~3.0007 and are still there at t_max = 1e4, so they never reach
+# the interpolating limit that solve_kkt looks for. Each gap is that of the
+# Dormand–Prince run alone (55 s and 132 s there, against ~0.05 s with the
+# switch to RODAS4), to all 15 printed digits.
+@pytest.mark.parametrize("num_layers, alpha, gap", [
+    (5, 0.01, 2.29061648769389),
+    (6, 0.03, 2.29061649551021),
+])
+def test_tied_small_alpha_flow_stays_at_a_saddle(num_layers, alpha, gap):
+    cfg = ExperimentConfig(n=3, dim=6, layers=num_layers, seed=0, t_max=1e4)
+    bias = run_bias(cfg, alphas=(1.0,), model="redundant")
+    ctrl = StepController(mode="adaptive", h=cfg.step, t_max=cfg.t_max,
+                          stop_gap=FLOW_LIMIT_GAP, max_points=2000)
+    start = time.perf_counter()
+    traj = integrate_redundant(bias.rows[0].entropy.u0 * alpha, num_layers, bias.loss, ctrl)
+    elapsed = time.perf_counter() - start
+    assert traj.times[-1] == cfg.t_max
+    assert traj.losses[-1] - traj.optimum == pytest.approx(gap, rel=1e-13)
+    assert abs(traj.final_theta[1] - 3.0007) < 1e-4
+    assert elapsed < 5.0
 
 
 def test_run_bias_requires_underdetermined_instance():

@@ -7,6 +7,7 @@ import pytest
 
 from diagflow import (
     DivergenceError,
+    ExperimentConfig,
     InitScheme,
     LayerStack,
     QuadraticLoss,
@@ -19,10 +20,20 @@ from diagflow import (
     layer_rhs,
     make_problem,
     mirror_residual_general,
+    run_bias,
     theta_rhs,
     write_trajectory_csv,
 )
-from diagflow.flow import _MIN_STEP_FRACTION, DIVERGENCE_LIMIT, SNAPSHOT_BLOCK
+from diagflow.experiments import FLOW_LIMIT_GAP, GAP_TARGET
+from diagflow.flow import (
+    _MIN_STEP_FRACTION,
+    DIVERGENCE_LIMIT,
+    SNAPSHOT_BLOCK,
+    _layer_jacobian,
+    _layer_velocity,
+    _rodas_step,
+    _tied_jacobian,
+)
 
 # theta(1) for the scalar benchmark below (u0=1, v0=2, loss theta^2),
 # computed once with explicit Euler at step 1e-6
@@ -247,6 +258,16 @@ def test_adaptive_step_underflow():
     assert str(err.value) == f"adaptive step size underflow at t=0 (h={err.value.h:.3g})"
 
 
+def test_a_growing_step_never_underflows():
+    # the floor binds only after a rejected step: a first step of 1e-15
+    # grows by up to 5 times per accepted step, past the floor of 1e-14
+    loss = make_problem(5, 3, 16)
+    ctrl = StepController(mode="adaptive", h=1e-15, t_max=5.0)
+    traj = integrate(init_layers(3, 3, InitScheme("uniform"), seed=17), loss, ctrl)
+    assert traj.times[1] == 1e-15
+    assert traj.times[-1] == 5.0
+
+
 @pytest.mark.parametrize("ctrl", [
     StepController(mode="adaptive", t_max=1e-15),
     StepController(mode="adaptive", t_max=1e-300),
@@ -330,8 +351,9 @@ def test_fixed_run_holds_only_the_snapshots_it_returns():
 def test_adaptive_run_holds_its_rows_in_arrays():
     # 2,018 accepted steps, every row kept: the rows go into arrays that
     # double as they fill; a list of per-row arrays peaked at 4.0 times the
-    # returned arrays
-    loss = make_problem(6, 4, 0)
+    # returned arrays. The loss has no hessian, so the run stays on
+    # Dormand–Prince (with it, the run turns stiff and RODAS4 takes 531 steps)
+    loss = _CountingLoss(make_problem(6, 4, 0))
     stack0 = init_layers(4, 4, InitScheme("uniform", scale=0.3), seed=1)
     tracemalloc.start()
     try:
@@ -344,12 +366,20 @@ def test_adaptive_run_holds_its_rows_in_arrays():
 
 
 class _CountingLoss:
-    """A loss that counts its calls per entry point."""
+    """A loss that counts its calls per entry point.
 
-    def __init__(self, loss):
+    It offers ``hessian`` only when asked to, so that by default adaptive
+    runs stay on Dormand–Prince. ``switch_gap`` is the loss gap at the first
+    ``hessian`` call, where the run switched to RODAS4.
+    """
+
+    def __init__(self, loss, hessian=False):
         self._loss = loss
         self.optimal_value = loss.optimal_value
-        self.calls = dict.fromkeys(("value", "gradient", "value_and_gradient"), 0)
+        self.calls = dict.fromkeys(("value", "gradient", "value_and_gradient", "hessian"), 0)
+        self.switch_gap = None
+        if hessian:
+            self.hessian = self._hessian
 
     def value(self, theta):
         self.calls["value"] += 1
@@ -363,6 +393,12 @@ class _CountingLoss:
         self.calls["value_and_gradient"] += 1
         return self._loss.value_and_gradient(theta)
 
+    def _hessian(self, theta):
+        if self.switch_gap is None:
+            self.switch_gap = self._loss.gap(theta)
+        self.calls["hessian"] += 1
+        return self._loss.hessian(theta)
+
 
 def test_adaptive_step_costs_six_loss_calls():
     # each attempted step takes five gradients and one value and gradient at
@@ -375,6 +411,148 @@ def test_adaptive_step_costs_six_loss_calls():
     attempts = loss.calls["value_and_gradient"] - 1  # one call at the start
     assert loss.calls["value"] == 0
     assert loss.calls["gradient"] == 5 * attempts
+
+
+@pytest.mark.parametrize("make_loss, run", [
+    (lambda: make_problem(5, 3, 16),
+     lambda f: integrate(init_layers(3, 3, InitScheme("uniform"), seed=17), f,
+                         StepController(mode="adaptive", t_max=5.0, max_points=10**6))),
+    (lambda: make_problem(3, 5, 21, positive=True),
+     lambda f: integrate_redundant(np.full(5, 0.8), 4, f,
+                                   StepController(mode="adaptive", t_max=50.0, max_points=10**6))),
+], ids=["layers", "tied"])
+def test_a_run_that_never_turns_stiff_keeps_the_dormand_prince_floats(make_loss, run):
+    # the stiffness test watches a loss with hessian but moves no float of a
+    # run that passes it: the run is the one of a loss without hessian
+    loss = make_loss()
+    watched = _CountingLoss(loss, hessian=True)
+    runs = run(watched), run(loss), run(_CountingLoss(loss))
+    assert watched.calls["hessian"] == 0
+    for name in _FIELDS:
+        assert all(np.array_equal(getattr(r, name), getattr(runs[-1], name)) for r in runs), name
+
+
+def _central_differences(velocity, y, eps=1e-6):
+    """The Jacobian of ``velocity`` at ``y`` by central differences, in ``y.ravel()``'s order."""
+    columns = []
+    for m in range(y.size):
+        e = np.zeros(y.size)
+        e[m] = eps
+        e = e.reshape(y.shape)
+        columns.append(((velocity(y + e) - velocity(y - e)) / (2 * eps)).ravel())
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("num_layers", [2, 3, 4, 5])
+def test_layer_jacobian_matches_central_differences(num_layers):
+    # one exact-zero layer: the hook's products of the other layers take no division
+    L, d = num_layers, 3
+    loss = make_problem(5, d, 60 + L)
+    y = init_layers(d, L, InitScheme("uniform", scale=1.5), seed=70 + L).layers.copy()
+    y[L // 2] = 0.0
+    theta = np.prod(y, axis=0)
+    J = _layer_jacobian(y, loss.gradient(theta), loss.hessian(theta))
+    fd = _central_differences(lambda y: _layer_velocity(y, loss.gradient(np.prod(y, axis=0))), y)
+    np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("num_layers", [3, 4, 5])
+def test_tied_jacobian_matches_central_differences(num_layers):
+    L = num_layers
+    loss = make_problem(3, 6, 40, positive=True)
+    y = init_layers(6, 2, InitScheme("positive", scale=1.5), seed=50).layers[:1]
+    J = _tied_jacobian(y, loss.gradient(y[0] ** L), loss.hessian(y[0] ** L), L)
+    fd = _central_differences(lambda y: -L * y ** (L - 1) * loss.gradient(y[0] ** L), y)
+    np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-8)
+
+
+def _one_rodas_step(f, jac, y, h):
+    k = np.empty((7, *y.shape))
+    k[0] = f(y)
+
+    def evaluate(y_new):
+        k[-1] = f(y_new)
+
+    return _rodas_step(y, h, k, f, evaluate, jac(y))[0]
+
+
+def test_rodas_step_is_fourth_order():
+    # van der Pol at mu = 1 from (2, 0): the local error of one step falls
+    # about 2^5 = 32 times per halving of h (measured 27.7, 33.1 and 34.5)
+    integ = pytest.importorskip("scipy.integrate")
+
+    def f(y):
+        return np.array([y[1], (1 - y[0] ** 2) * y[1] - y[0]])
+
+    def jac(y):
+        return np.array([[0.0, 1.0], [-2 * y[0] * y[1] - 1, 1 - y[0] ** 2]])
+
+    y0 = np.array([2.0, 0.0])
+    errors = []
+    for h in (0.2, 0.1, 0.05, 0.025):
+        exact = integ.solve_ivp(lambda t, y: f(y), (0, h), y0, method="DOP853",
+                                rtol=1e-13, atol=1e-15).y[:, -1]
+        errors.append(np.max(np.abs(_one_rodas_step(f, jac, y0, h) - exact)))
+    ratios = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
+    assert all(24 < r < 40 for r in ratios), ratios
+
+
+def test_rodas_step_is_l_stable():
+    # one step of y' = lambda y at h lambda = -1e4 gives R(-1e4) (8.8e-4):
+    # the stability function vanishes at infinity, so stiff modes are damped
+    lam = -1e4
+    y1 = _one_rodas_step(lambda y: lam * y, lambda y: np.array([[lam]]), np.array([1.0]), 1.0)
+    assert abs(y1[0]) < 1e-3
+
+
+def _tied_bias_flow():
+    """``run_bias(model="redundant")``'s flow at L=4, alpha=0.1 (n=3, d=6, seed 0)."""
+    cfg = ExperimentConfig(n=3, dim=6, layers=4, seed=0, t_max=1e4)
+    bias = run_bias(cfg, alphas=(1.0,), model="redundant")
+    loss, u0, L = bias.loss, bias.rows[0].entropy.u0 * 0.1, cfg.layers
+    ctrl = StepController(mode="adaptive", h=cfg.step, t_max=cfg.t_max,
+                          stop_gap=FLOW_LIMIT_GAP, max_points=10**6)
+    return (loss, lambda f: integrate_redundant(u0, L, f, ctrl),
+            lambda u: -L * u ** (L - 1) * loss.gradient(u ** L), u0, lambda us: us ** L)
+
+
+def _criterion_9_flow():
+    """Criterion 9's run at scale 1.8."""
+    cfg = ExperimentConfig(n=10, dim=8, layers=6, seed=2, t_max=400.0, scheme="zero_first",
+                           scale=1.8)
+    loss, stack0 = cfg.problem()
+    L, d = cfg.layers, cfg.dim
+    ctrl = StepController(mode="adaptive", h=cfg.step, t_max=cfg.t_max,
+                          stop_gap=GAP_TARGET * 1e-3, max_points=10**6)
+    return (loss, lambda f: integrate(stack0, f, ctrl),
+            lambda y: layer_rhs(LayerStack(y.reshape(L, d)), loss).ravel(),
+            stack0.layers.ravel(), lambda ys: np.prod(ys.reshape(-1, L, d), axis=1))
+
+
+# Worst theta errors measured against the reference: 1.4e-6 tied, at the
+# first escape (t = 1.42, before the switch, as far off on Dormand–Prince
+# alone), and 5.4e-9 for criterion 9's run. ``level`` is a loss gap the run
+# crosses after its switch: the exit from the tied flow's plateau at gap
+# ~0.12 (t = 46.4), and criterion 9's target gap (t = 0.37).
+@pytest.mark.parametrize("flow, bound, level", [
+    (_tied_bias_flow, 1e-5, 1e-2),
+    (_criterion_9_flow, 5e-8, GAP_TARGET),
+], ids=["tied_L4_alpha0.1", "criterion9_scale1.8"])
+def test_switched_run_matches_scipy_reference(flow, bound, level):
+    loss, run, velocity, y0, theta_of = flow()
+    counted = _CountingLoss(loss, hessian=True)
+    traj = run(counted)
+    assert counted.switch_gap is not None and counted.switch_gap > level
+    # a RODAS4 attempt costs what a Dormand–Prince attempt does, plus one Hessian
+    attempts = counted.calls["value_and_gradient"] - 1
+    assert counted.calls["gradient"] == 5 * attempts
+    assert counted.calls["hessian"] < attempts
+    ref = _reference_thetas(velocity, y0, traj.times, theta_of)
+    assert np.max(np.abs(traj.thetas - ref)) <= bound
+    # the crossing is kept, not damped away: the first row below the level
+    # is the reference's
+    ref_gaps = np.array([loss.gap(theta) for theta in ref])
+    assert np.argmax(traj.losses - traj.optimum < level) == np.argmax(ref_gaps < level)
 
 
 @pytest.mark.parametrize("overlap", [0, 1, 2])
