@@ -10,7 +10,9 @@ start on the Dormand–Prince 5(4) pair, whose last stage is the next step's
 first (FSAL), and watch its stages with Hairer's stiffness test. A run
 that fails the test, and whose loss offers ``hessian``, goes on for good
 with RODAS4, an L-stable Rosenbrock pair of order 4(3) that uses the flow's
-Jacobian. Either way an attempted step costs six loss evaluations. Along
+Jacobian. That Jacobian is kept in factors, so the linear algebra of a
+RODAS4 attempt grows as d^3 + d L^3 with the coordinates d and layers L,
+not as (L d)^3. Either way an attempted step costs six loss evaluations. Along
 the trajectory the accumulated dual variable
 
     xi(t) = -integral_0^t grad L(theta(s)) ds
@@ -150,33 +152,57 @@ def _layer_velocity(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -leave_one_out_products(y) * g
 
 
-def _layer_jacobian(y: np.ndarray, g: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Jacobian of ``_layer_velocity`` in ``y.ravel()``'s layer-major order.
+def _layer_jacobian(y: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(p, B)`` of ``_layer_velocity``'s Jacobian (``_w_solver``'s form).
 
-    With ``P_j`` the product of the layers other than j and ``Q_jk`` that of
-    the layers other than j and k, both without division (a layer may hold
-    exact zeros), block (j, k) is ``-diag(P_j) H diag(P_k)``, less
-    ``diag(Q_jk g)`` when j != k; ``H`` is the loss's Hessian.
+    ``p`` holds ``P_j``, the product of the layers other than j, and
+    ``B[i, j, k]`` is ``Q_jk g_i`` for j != k (0 on the diagonal), with
+    ``Q_jk`` the product of the layers other than j and k. Both are taken
+    without division, since a layer may hold exact zeros.
     """
     L, d = y.shape
-    P = leave_one_out_products(y).ravel()
-    J = -P[:, None] * np.tile(H, (L, L)) * P
     others = np.broadcast_to(y, (L, L, L, d)).copy()
-    layer, i = np.arange(L), np.arange(d)
+    layer = np.arange(L)
     others[layer, :, layer] = 1.0  # others[j, k] drops layers j and k
     others[:, layer, layer] = 1.0
     Qg = others.prod(axis=2) * g
     Qg[layer, layer] = 0.0
-    J.reshape(L, d, L, d)[:, i, :, i] -= Qg.transpose(2, 0, 1)
-    return J
+    return leave_one_out_products(y), Qg.transpose(2, 0, 1)
 
 
-def _tied_jacobian(y: np.ndarray, g: np.ndarray, H: np.ndarray, L: int) -> np.ndarray:
-    """Jacobian of the tied velocity ``-L u^(L-1) g`` of the row ``y = [u]``:
-    ``-L(L-1) diag(u^(L-2) g) - D H D`` with ``D = diag(L u^(L-1))``."""
+def _tied_jacobian(y: np.ndarray, g: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(p, B)`` of the Jacobian of the tied velocity ``-L u^(L-1) g``
+    of the row ``y = [u]``: ``-D H D - diag(L(L-1) u^(L-2) g)`` with
+    ``D = diag(L u^(L-1))``, so ``p = [L u^(L-1)]`` and the blocks are 1 x 1."""
     u = y[0]
-    D = L * u ** (L - 1)
-    return np.diag(-L * (L - 1) * u ** (L - 2) * g) - D[:, None] * H * D
+    return L * u[None, :] ** (L - 1), (L * (L - 1) * u ** (L - 2) * g)[:, None, None]
+
+
+def _w_solver(c: float, p: np.ndarray, B: np.ndarray, H: np.ndarray):
+    """``r -> W^-1 r`` for ``W = c I - J`` and a Jacobian in factors.
+
+    On states of shape ``(m, d)`` (m rows of d coordinates), the factored
+    Jacobian is ``J = -diag(p) (1 1^T kron H) diag(p) - B``, where ``H`` is
+    the loss's d x d Hessian and ``B`` couples only the m entries of one
+    coordinate, as the blocks ``B[i]``. So ``W = A + U H U^T``, with ``A =
+    c I + B`` block diagonal by coordinate and ``U`` the (m d) x d matrix
+    that takes coordinate i to entry (j, i) with weight ``p[j, i]``, and the
+    Woodbury identity solves it by d inverses of m x m blocks and one d x d
+    solve: O(d m^3 + d^3) per solver and O(d m^2 + d^2) per solve, where a
+    dense W would take O((m d)^3).
+    Raises ``LinAlgError`` when a block of ``A`` or the d x d system is singular.
+    """
+    m, d = p.shape
+    a_inv = np.linalg.inv(c * np.eye(m) + B)           # (d, m, m)
+    a_inv_p = np.einsum("ijk,ki->ij", a_inv, p)         # A_i^-1 p_i, (d, m)
+    s = np.einsum("ji,ij->i", p, a_inv_p)               # U^T A^-1 U = diag(s)
+    core = np.linalg.solve(np.eye(d) + H * s, H)        # (I + H diag(s))^-1 H
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        x = np.einsum("ijk,ki->ji", a_inv, r)           # A^-1 r
+        return x - a_inv_p.T * (core @ (p * x).sum(axis=0))
+
+    return solve
 
 
 def layer_rhs(stack: LayerStack, loss) -> np.ndarray:
@@ -297,7 +323,7 @@ def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepControl
     traj = _drive(u0[None, :], loss, ctrl,
                   theta_of=lambda y: y.repeat(L, axis=0).prod(axis=0),
                   velocity=lambda y, g: -L * y ** (L - 1) * g,
-                  jacobian=lambda y, g, H: _tied_jacobian(y, g, H, L), positive=True)
+                  jacobian=lambda y, g: _tied_jacobian(y, g, L), positive=True)
     return replace(traj, layers=np.repeat(traj.layers, L, axis=1))
 
 
@@ -399,21 +425,25 @@ _RO_C = np.array([
 ])
 
 
-def _rodas_step(y, h, k, rhs, evaluate, jac):
-    """One RODAS4 step, given the Jacobian ``jac`` at ``y``.
+def _rodas_step(y, h, k, rhs, evaluate, jacobian):
+    """One RODAS4 step, given the Jacobian at ``y`` as ``(p, B, H)`` (``_w_solver``'s).
 
-    ``W`` is inverted once (LAPACK's LU), so each stage's solve is a
-    product. Its error ratio is that of ``K_6``.
+    Its error ratio is that of ``K_6``; it is infinite when ``W`` cannot be
+    solved, so that the step is retried smaller.
     """
-    w_inv = np.linalg.inv(np.eye(y.size) / (h * _RO_GAMMA) - jac)
-    K = np.empty((6, y.size))
-    K[0] = w_inv @ k[0].ravel()
+    try:
+        solve = _w_solver(1.0 / (h * _RO_GAMMA), *jacobian)
+    except np.linalg.LinAlgError:
+        return y, np.inf, None
+    K = np.empty((6, *y.shape))
+    flat = K.reshape(6, -1)
+    K[0] = solve(k[0])
     for i in range(1, 6):
-        f = rhs(y + (_RO_A[i, :i] @ K[:i]).reshape(y.shape))
-        K[i] = w_inv @ (f.ravel() + (_RO_C[i, :i] / h) @ K[:i])
-    y_new = y + (_RO_A[5] @ K[:5] + K[5]).reshape(y.shape)
+        f = rhs(y + (_RO_A[i, :i] @ flat[:i]).reshape(y.shape))
+        K[i] = solve(f + ((_RO_C[i, :i] / h) @ flat[:i]).reshape(y.shape))
+    y_new = y + (_RO_A[5] @ flat[:5]).reshape(y.shape) + K[5]
     state = evaluate(y_new)
-    return y_new, _error_ratio(K[5], y, y_new), state
+    return y_new, _error_ratio(flat[5], y, y_new), state
 
 
 def _drive(y0, loss, ctrl, theta_of, velocity, jacobian, positive=False):
@@ -433,9 +463,10 @@ def _drive(y0, loss, ctrl, theta_of, velocity, jacobian, positive=False):
     The switch rule: adaptive runs start on Dormand–Prince (q = 4). When
     the loss has ``hessian(theta)``, every accepted step is scored by
     ``_StiffnessTest``, and a run that it finds stiff goes on with RODAS4
-    (q = 3) for good, one ``jacobian(y, g, H)`` (the velocity's Jacobian in
-    ``y.ravel()``'s order, given the gradient and Hessian at
-    ``theta_of(y)``) and one inverted ``W`` per attempt. A run that never
+    (q = 3) for good. ``jacobian(y, g)`` gives the velocity's Jacobian at
+    ``y``, where the gradient is ``g``, as the factors ``(p, B)`` of
+    ``_w_solver``; with the Hessian it is taken once per accepted state,
+    and each attempt builds one ``_w_solver`` from it. A run that never
     turns stiff keeps every float of a Dormand–Prince run. The step floor
     binds only after a rejected step. The snapshot rule is ``_Columns``'s.
     """
@@ -455,12 +486,15 @@ def _drive(y0, loss, ctrl, theta_of, velocity, jacobian, positive=False):
         return theta, value, g
 
     def rodas_step(y, h, k, rhs, evaluate):  # y is the accepted state, at theta and g
-        return _rodas_step(y, h, k, rhs, evaluate, jacobian(y, g, hessian(theta)))
+        nonlocal jac
+        if jac is None:  # once per accepted state: a retry from y reuses it
+            jac = (*jacobian(y, g), hessian(theta))
+        return _rodas_step(y, h, k, rhs, evaluate, jac)
 
     adaptive = ctrl.mode == "adaptive"
     step, exponent = (_dopri_step if adaptive else _rk4_step), -0.2
     stiffness = _StiffnessTest() if adaptive and hessian is not None else None
-    t, h = 0.0, ctrl.h
+    t, h, jac = 0.0, ctrl.h, None
     y = np.array(y0, dtype=float)
     k = np.empty((len(_DP_A), *y.shape))  # RK4 and RODAS4 use only the first and the last stage
     optimum = getattr(loss, "optimal_value", 0.0)
@@ -474,6 +508,7 @@ def _drive(y0, loss, ctrl, theta_of, velocity, jacobian, positive=False):
             if ratio <= 1.0:
                 y, t = y_new, t + h
                 theta, val, g_new = state
+                jac = None
                 _guard(y, theta, t, h, positive)
                 xi = xi - (0.5 * h) * (g + g_new)
                 g = g_new

@@ -25,6 +25,7 @@ Only the solvers that need the design matrix (``pl_constant``,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,14 +109,13 @@ class QuadraticLoss:
     ``EIG_CUTOFF`` (relative). ``least_squares_solution`` is the associated
     minimum-norm minimizer, which for an underdetermined full-row-rank
     system is the minimum-L2 interpolator. The constant Hessian ``2 X^T X``
-    is cached read-only as well.
+    is built, read-only, at the first ``hessian`` call.
     """
 
     X: np.ndarray
     y: np.ndarray
     optimal_value: float = field(init=False)
     least_squares_solution: np.ndarray = field(init=False)
-    _hessian: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         X = np.array(self.X, dtype=float)
@@ -132,9 +132,6 @@ class QuadraticLoss:
         object.__setattr__(self, "y", y)
 
         gram = X.T @ X
-        hessian = 2.0 * gram
-        hessian.setflags(write=False)
-        object.__setattr__(self, "_hessian", hessian)
         w, V = np.linalg.eigh(gram)
         w_max = w[-1] if w.size else 0.0
         inv = np.zeros_like(w)
@@ -177,6 +174,12 @@ class QuadraticLoss:
         """``2 X^T X``, the same read-only array at every ``theta``."""
         self._check(theta)
         return self._hessian
+
+    @functools.cached_property
+    def _hessian(self) -> np.ndarray:
+        hessian = 2.0 * (self.X.T @ self.X)
+        hessian.setflags(write=False)
+        return hessian
 
     def gap(self, theta: np.ndarray) -> float:
         """Suboptimality ``value(theta) - optimal_value``."""

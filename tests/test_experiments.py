@@ -28,8 +28,9 @@ from diagflow import (
     sigma_lower_bound,
     solve_kkt,
     time_to_gap,
+    Trajectory,
 )
-from diagflow.experiments import FLOW_LIMIT_GAP
+from diagflow.experiments import FLOW_LIMIT_GAP, GAP_TARGET
 
 
 def test_pl_constant_identity_design():
@@ -105,6 +106,41 @@ def test_time_to_gap():
     t = time_to_gap(traj, 1e-6)
     assert t is not None and 0 < t <= traj.times[-1]
     assert time_to_gap(traj, -1.0) is None
+
+
+def test_time_to_gap_interpolates_the_log_gap():
+    times = np.array([0.0, 1.0, 3.0, 4.0])
+    rows = len(times)
+    traj = Trajectory(times, np.zeros((rows, 2, 1)), np.zeros((rows, 1)), np.zeros((rows, 1)),
+                      np.exp(-2.0 * times), np.zeros((rows, 1)))
+    assert time_to_gap(traj, math.exp(-5.0)) == pytest.approx(2.5, rel=1e-14)
+    assert time_to_gap(traj, 2.0) == 0.0
+    assert time_to_gap(traj, math.exp(-8.0)) == 4.0
+    assert time_to_gap(traj, 0.0) is None
+
+
+def test_time_to_gap_does_not_move_with_the_grid():
+    # the convergence command's default run: the switch to RODAS4 leaves
+    # 572 rows of Dormand–Prince's 831, and read off the grid the time to
+    # gap 1e-6 moved from 24.5886 to 24.9095; interpolated, the two agree
+    # to 2.5e-6
+    cfg = ExperimentConfig(layers=6, dim=8, t_max=400.0, scheme="zero_first")
+    loss, stack0 = cfg.problem()
+    ctrl = StepController(mode="adaptive", h=cfg.step, t_max=cfg.t_max,
+                          stop_gap=GAP_TARGET * 1e-3)
+    switched = integrate(stack0, loss, ctrl)
+    dopri = integrate(stack0, _WithoutHessian(loss), ctrl)
+    assert len(switched) < len(dopri)
+    assert (time_to_gap(switched, GAP_TARGET)
+            == pytest.approx(time_to_gap(dopri, GAP_TARGET), rel=1e-5))
+
+
+class _WithoutHessian:
+    """The loss without its ``hessian``, so that adaptive runs stay on Dormand–Prince."""
+
+    def __init__(self, loss):
+        self.value, self.gradient = loss.value, loss.gradient
+        self.value_and_gradient, self.optimal_value = loss.value_and_gradient, loss.optimal_value
 
 
 def test_run_convergence_and_csv(tmp_path):

@@ -33,6 +33,7 @@ from diagflow.flow import (
     _layer_velocity,
     _rodas_step,
     _tied_jacobian,
+    _w_solver,
 )
 
 # theta(1) for the scalar benchmark below (u0=1, v0=2, loss theta^2),
@@ -349,11 +350,10 @@ def test_fixed_run_holds_only_the_snapshots_it_returns():
 
 
 def test_adaptive_run_holds_its_rows_in_arrays():
-    # 2,018 accepted steps, every row kept: the rows go into arrays that
-    # double as they fill; a list of per-row arrays peaked at 4.0 times the
-    # returned arrays. The loss has no hessian, so the run stays on
-    # Dormand–Prince (with it, the run turns stiff and RODAS4 takes 531 steps)
-    loss = _CountingLoss(make_problem(6, 4, 0))
+    # 531 accepted steps, most of them RODAS4's once the run turns stiff,
+    # every row kept: the rows go into arrays that double as they fill (the
+    # peak measured 2.5 times the returned arrays)
+    loss = make_problem(6, 4, 0)
     stack0 = init_layers(4, 4, InitScheme("uniform", scale=0.3), seed=1)
     tracemalloc.start()
     try:
@@ -362,7 +362,7 @@ def test_adaptive_run_holds_its_rows_in_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * sum(getattr(traj, name).nbytes for name in _FIELDS)
-    assert len(traj) == 2019
+    assert len(traj) == 532
 
 
 class _CountingLoss:
@@ -443,6 +443,25 @@ def _central_differences(velocity, y, eps=1e-6):
     return np.array(columns).T
 
 
+def _dense_jacobian(p, B, H):
+    """The Jacobian whose factors are ``(p, B, H)`` (``_w_solver``'s form), in ``p.ravel()``'s order."""
+    m, d = p.shape
+    J = -p.ravel()[:, None] * np.tile(H, (m, m)) * p.ravel()
+    i = np.arange(d)
+    J.reshape(m, d, m, d)[:, i, :, i] -= B
+    return J
+
+
+def _check_factors(p, B, H, velocity, y):
+    """The factors give ``velocity``'s Jacobian at ``y``, and ``_w_solver`` solves with it."""
+    J = _dense_jacobian(p, B, H)
+    np.testing.assert_allclose(J, _central_differences(velocity, y), rtol=1e-6, atol=1e-8)
+    c = 3.7  # 1 / (h gamma)
+    r = np.random.default_rng(3).standard_normal(y.shape)
+    x = _w_solver(c, p, B, H)(r)
+    np.testing.assert_allclose((c * np.eye(y.size) - J) @ x.ravel(), r.ravel(), atol=1e-12)
+
+
 @pytest.mark.parametrize("num_layers", [2, 3, 4, 5])
 def test_layer_jacobian_matches_central_differences(num_layers):
     # one exact-zero layer: the hook's products of the other layers take no division
@@ -451,9 +470,9 @@ def test_layer_jacobian_matches_central_differences(num_layers):
     y = init_layers(d, L, InitScheme("uniform", scale=1.5), seed=70 + L).layers.copy()
     y[L // 2] = 0.0
     theta = np.prod(y, axis=0)
-    J = _layer_jacobian(y, loss.gradient(theta), loss.hessian(theta))
-    fd = _central_differences(lambda y: _layer_velocity(y, loss.gradient(np.prod(y, axis=0))), y)
-    np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-8)
+    p, B = _layer_jacobian(y, loss.gradient(theta))
+    _check_factors(p, B, loss.hessian(theta),
+                   lambda y: _layer_velocity(y, loss.gradient(np.prod(y, axis=0))), y)
 
 
 @pytest.mark.parametrize("num_layers", [3, 4, 5])
@@ -461,19 +480,43 @@ def test_tied_jacobian_matches_central_differences(num_layers):
     L = num_layers
     loss = make_problem(3, 6, 40, positive=True)
     y = init_layers(6, 2, InitScheme("positive", scale=1.5), seed=50).layers[:1]
-    J = _tied_jacobian(y, loss.gradient(y[0] ** L), loss.hessian(y[0] ** L), L)
-    fd = _central_differences(lambda y: -L * y ** (L - 1) * loss.gradient(y[0] ** L), y)
-    np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-8)
+    p, B = _tied_jacobian(y, loss.gradient(y[0] ** L), L)
+    _check_factors(p, B, loss.hessian(y[0] ** L),
+                   lambda y: -L * y ** (L - 1) * loss.gradient(y[0] ** L), y)
+
+
+def test_w_solver_never_forms_the_dense_matrix():
+    # at L=6, d=64 a dense W would take (L d)^2 floats, 1.2 MB; the
+    # factored Jacobian and its solver peaked at 0.17 MB
+    L, d = 6, 64
+    loss = make_problem(48, d, 5)
+    y = init_layers(d, L, InitScheme("uniform"), seed=6).layers
+    theta = np.prod(y, axis=0)
+    H, g = loss.hessian(theta), loss.gradient(theta)
+    tracemalloc.start()
+    try:
+        _w_solver(4.0, *_layer_jacobian(y, g), H)(np.ones_like(y))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (L * d) ** 2 * 8 / 4
 
 
 def _one_rodas_step(f, jac, y, h):
-    k = np.empty((7, *y.shape))
-    k[0] = f(y)
+    """One RODAS4 step of ``y' = f(y)`` with the dense Jacobian ``jac``, as one
+    coordinate of ``len(y)`` rows: ``B = -J`` and no Hessian term."""
+    col = y[:, None]
+    k = np.empty((7, *col.shape))
+    k[0] = f(y)[:, None]
 
-    def evaluate(y_new):
-        k[-1] = f(y_new)
+    def rhs(col):
+        return f(col[:, 0])[:, None]
 
-    return _rodas_step(y, h, k, f, evaluate, jac(y))[0]
+    def evaluate(col_new):
+        k[-1] = rhs(col_new)
+
+    factors = np.zeros_like(col), -jac(y)[None], np.zeros((1, 1))
+    return _rodas_step(col, h, k, rhs, evaluate, factors)[0][:, 0]
 
 
 def test_rodas_step_is_fourth_order():
@@ -531,7 +574,7 @@ def _criterion_9_flow():
 
 # Worst theta errors measured against the reference: 1.4e-6 tied, at the
 # first escape (t = 1.42, before the switch, as far off on Dormand–Prince
-# alone), and 5.4e-9 for criterion 9's run. ``level`` is a loss gap the run
+# alone), and 5.6e-9 for criterion 9's run. ``level`` is a loss gap the run
 # crosses after its switch: the exit from the tied flow's plateau at gap
 # ~0.12 (t = 46.4), and criterion 9's target gap (t = 0.37).
 @pytest.mark.parametrize("flow, bound, level", [
