@@ -12,8 +12,15 @@ that fails the test, and whose loss offers ``hessian``, goes on for good
 with RODAS4, an L-stable Rosenbrock pair of order 4(3) that uses the flow's
 Jacobian. That Jacobian is kept in factors, so the linear algebra of a
 RODAS4 attempt grows as d^3 + d L^3 with the coordinates d and layers L,
-not as (L d)^3. Either way an attempted step costs six loss evaluations. Along
-the trajectory the accumulated dual variable
+not as (L d)^3. Either way an attempted step costs six loss evaluations.
+
+Each flow hands the driver one hook, ``factors(y, p) -> theta``, which
+writes the velocity's factors P into ``p`` and returns theta, so that the
+velocity is ``-p * grad L(theta)``, written in place into the stepper's
+stage buffer. For the layer flow, P is the leave-one-out products and
+comes with theta from one prefix and one suffix product over reused
+buffers, float for float ``leave_one_out_products`` and
+``theta_of_layers``. Along the trajectory the accumulated dual variable
 
     xi(t) = -integral_0^t grad L(theta(s)) ds
 
@@ -205,6 +212,28 @@ def _w_solver(c: float, p: np.ndarray, B: np.ndarray, H: np.ndarray):
     return solve
 
 
+def _layer_factors(num_layers: int, dim: int):
+    """The layer flow's ``factors(y, p) -> theta`` hook, with its own buffers.
+
+    ``prefix[j]`` is the product of layers ``0..j-1`` (row 0 is 1) and
+    ``suffix[j]`` that of layers ``L-1`` down to ``j+1`` (row L-1 is 1), each
+    by one ``np.multiply.accumulate``, so ``p = prefix * suffix`` and theta
+    (``prefix[-1] * y[-1]``, a fresh array) multiply the same factors in the
+    same order as ``leave_one_out_products`` and ``theta_of_layers``: every
+    float is theirs.
+    """
+    prefix, suffix = np.ones((num_layers, dim)), np.ones((num_layers, dim))
+    prefix_rows, suffix_rows, last = prefix[1:], suffix[-2::-1], prefix[-1]
+
+    def factors(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+        np.multiply.accumulate(y[:-1], axis=0, out=prefix_rows)
+        np.multiply.accumulate(y[:0:-1], axis=0, out=suffix_rows)
+        np.multiply(prefix, suffix, p)
+        return last * y[-1]
+
+    return factors
+
+
 def layer_rhs(stack: LayerStack, loss) -> np.ndarray:
     """Right-hand side of the layer dynamic, one row per layer."""
     return _layer_velocity(stack.layers, loss.gradient(theta_of_layers(stack.layers)))
@@ -216,7 +245,10 @@ def theta_rhs(stack: LayerStack, loss) -> np.ndarray:
 
 
 def _guard(y: np.ndarray, theta: np.ndarray, t: float, h: float, positive: bool) -> None:
+    # fast path: a NaN in theta fails the first test, a non-finite y the second
     top = float(np.abs(theta).max())
+    if top <= DIVERGENCE_LIMIT and math.isfinite(y.sum()) and not (positive and (y <= 0).any()):
+        return
     if not (np.isfinite(y).all() and np.isfinite(theta).all()):
         raise DivergenceError(t, h, top, f"non-finite state at t={t:.6g}; reduce the step size")
     if top > DIVERGENCE_LIMIT:
@@ -300,7 +332,7 @@ def integrate(stack0: LayerStack, loss, ctrl: StepController) -> Trajectory:
     Raises ``DivergenceError`` when the state leaves the finite region and,
     in adaptive mode, ``StepUnderflowError`` when no acceptable step exists.
     """
-    return _drive(stack0.layers, loss, ctrl, theta_of=theta_of_layers, velocity=_layer_velocity,
+    return _drive(stack0.layers, loss, ctrl, factors=_layer_factors(*stack0.layers.shape),
                   jacobian=_layer_jacobian)
 
 
@@ -319,21 +351,31 @@ def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepControl
     if u0.ndim != 1 or not np.all(u0 > 0):
         raise ValueError("u0 must be a strictly positive vector")
     L = num_layers
-    # the state is the one row u; theta is the product of its L copies
-    traj = _drive(u0[None, :], loss, ctrl,
-                  theta_of=lambda y: y.repeat(L, axis=0).prod(axis=0),
-                  velocity=lambda y, g: -L * y ** (L - 1) * g,
+
+    def factors(y, p):  # the state is the one row u; theta is the product of its L copies
+        np.multiply(L, y ** (L - 1), p)
+        return y.repeat(L, axis=0).prod(axis=0)
+
+    traj = _drive(u0[None, :], loss, ctrl, factors=factors,
                   jacobian=lambda y, g: _tied_jacobian(y, g, L), positive=True)
     return replace(traj, layers=np.repeat(traj.layers, L, axis=1))
 
 
 def _rk4_step(y, h, k, rhs, evaluate):
-    """One classical RK4 step; its error ratio is 0, so every step is accepted."""
-    k1 = k[0]
-    k2 = rhs(y + (0.5 * h) * k1)
-    k3 = rhs(y + (0.5 * h) * k2)
-    k4 = rhs(y + h * k3)
-    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step; its error ratio is 0, so every step is accepted.
+
+    Stages 2-4 go into ``k[1:4]``, each stage point into ``k[4]``, and the
+    weighted sum ``k1 + 2 k2 + 2 k3 + k4``, added in that order, into ``k[5]``
+    (``2 k`` is taken as ``k + k``, the same float).
+    """
+    k1, k2, k3, k4, point, total = k[:6]
+    rhs(np.add(y, np.multiply(k1, 0.5 * h, point), point), k2)
+    rhs(np.add(y, np.multiply(k2, 0.5 * h, point), point), k3)
+    rhs(np.add(y, np.multiply(k3, h, point), point), k4)
+    np.add(k1, np.add(k2, k2, total), total)
+    total += np.add(k3, k3, point)
+    total += k4
+    y_new = y + np.multiply(total, h / 6.0, total)
     return y_new, 0.0, evaluate(y_new)
 
 
@@ -368,7 +410,7 @@ def _dopri_step(y, h, k, rhs, evaluate):
     """
     hA, flat = h * _DP_A, k.reshape(len(k), -1)  # flat: the stages as rows
     for i in range(1, 6):
-        k[i] = rhs(y + (hA[i, :i] @ flat[:i]).reshape(y.shape))
+        rhs(y + (hA[i, :i] @ flat[:i]).reshape(y.shape), k[i])
     y_new = y + (hA[6] @ flat[:6]).reshape(y.shape)
     state = evaluate(y_new)
     return y_new, _error_ratio((h * _DP_E) @ flat, y, y_new), state
@@ -428,8 +470,9 @@ _RO_C = np.array([
 def _rodas_step(y, h, k, rhs, evaluate, jacobian):
     """One RODAS4 step, given the Jacobian at ``y`` as ``(p, B, H)`` (``_w_solver``'s).
 
-    Its error ratio is that of ``K_6``; it is infinite when ``W`` cannot be
-    solved, so that the step is retried smaller.
+    The velocities at the stage points go into ``k[1:6]``. Its error ratio
+    is that of ``K_6``; it is infinite when ``W`` cannot be solved, so that
+    the step is retried smaller.
     """
     try:
         solve = _w_solver(1.0 / (h * _RO_GAMMA), *jacobian)
@@ -439,36 +482,42 @@ def _rodas_step(y, h, k, rhs, evaluate, jacobian):
     flat = K.reshape(6, -1)
     K[0] = solve(k[0])
     for i in range(1, 6):
-        f = rhs(y + (_RO_A[i, :i] @ flat[:i]).reshape(y.shape))
+        f = rhs(y + (_RO_A[i, :i] @ flat[:i]).reshape(y.shape), k[i])
         K[i] = solve(f + ((_RO_C[i, :i] / h) @ flat[:i]).reshape(y.shape))
     y_new = y + (_RO_A[5] @ flat[:5]).reshape(y.shape) + K[5]
     state = evaluate(y_new)
     return y_new, _error_ratio(flat[5], y, y_new), state
 
 
-def _drive(y0, loss, ctrl, theta_of, velocity, jacobian, positive=False):
-    """Integrate ``dy/dt = velocity(y, grad L(theta_of(y)))`` under ``ctrl``.
+def _drive(y0, loss, ctrl, factors, jacobian, positive=False):
+    """Integrate ``dy/dt = -p * grad L(theta)``, ``theta = factors(y, p)``, under ``ctrl``.
+
+    The one flow hook, ``factors(y, p)``, writes the velocity's factors at
+    ``y`` into the run's buffer ``p`` and returns theta as a fresh array,
+    which the loss may keep. ``rhs(y, out)`` writes the velocity at ``y``
+    into ``out``, a row of the stage buffer ``k``, and returns it.
 
     The steppers share one protocol: ``step(y, h, k, rhs, evaluate)``
-    starts with the velocity at ``y`` in ``k[0]`` of the stage buffer,
-    evaluates the loss at its new point once, by ``evaluate``, which leaves
-    the velocity there in ``k[-1]``, and returns ``(y_new, error_ratio,
-    (theta, value, gradient))``. A step with ratio at most 1 is accepted and
-    hands ``k[-1]`` on as the next ``k[0]`` (FSAL). Fixed mode's RK4 steps
-    cost three ``gradient`` calls and one ``value_and_gradient``, adaptive
-    mode's steps five and one per attempt, after which the controller
-    rescales ``h`` by ``0.9 * ratio ** -(1 / (q + 1))``, clipped to
-    [0.2, 5], with q the order of the step's error estimate.
+    starts with the velocity at ``y`` in ``k[0]``, writes its other stages
+    into rows of ``k`` by ``rhs``, evaluates the loss at its new point once,
+    by ``evaluate``, which leaves the velocity there in ``k[-1]``, and
+    returns ``(y_new, error_ratio, (theta, value, gradient))``. A step with
+    ratio at most 1 is accepted and hands ``k[-1]`` on as the next ``k[0]``
+    (FSAL). Fixed mode's RK4 steps cost three ``gradient`` calls and one
+    ``value_and_gradient``, adaptive mode's steps five and one per attempt,
+    after which the controller rescales ``h`` by ``0.9 * ratio ** -(1 / (q
+    + 1))``, clipped to [0.2, 5], with q the order of the step's error
+    estimate.
 
     The switch rule: adaptive runs start on Dormand–Prince (q = 4). When
     the loss has ``hessian(theta)``, every accepted step is scored by
     ``_StiffnessTest``, and a run that it finds stiff goes on with RODAS4
     (q = 3) for good. ``jacobian(y, g)`` gives the velocity's Jacobian at
-    ``y``, where the gradient is ``g``, as the factors ``(p, B)`` of
-    ``_w_solver``; with the Hessian it is taken once per accepted state,
-    and each attempt builds one ``_w_solver`` from it. A run that never
-    turns stiff keeps every float of a Dormand–Prince run. The step floor
-    binds only after a rejected step. The snapshot rule is ``_Columns``'s.
+    ``y``, where the gradient is ``g``, as ``(p, B)`` in ``_w_solver``'s
+    form; with the Hessian it is taken once per accepted state, and each
+    attempt builds one ``_w_solver`` from it. A run that never turns stiff
+    keeps every float of a Dormand–Prince run. The step floor binds only
+    after a rejected step. The snapshot rule is ``_Columns``'s.
     """
     value_and_gradient = getattr(loss, "value_and_gradient", None)
     if value_and_gradient is None:
@@ -476,13 +525,13 @@ def _drive(y0, loss, ctrl, theta_of, velocity, jacobian, positive=False):
             return loss.value(theta), loss.gradient(theta)
     hessian = getattr(loss, "hessian", None)
 
-    def rhs(y):
-        return velocity(y, loss.gradient(theta_of(y)))
+    def rhs(y, out):
+        return np.multiply(p, -loss.gradient(factors(y, p)), out)
 
     def evaluate(y):
-        theta = theta_of(y)
+        theta = factors(y, p)
         value, g = value_and_gradient(theta)
-        k[-1] = velocity(y, g)
+        np.multiply(p, -g, k[-1])
         return theta, value, g
 
     def rodas_step(y, h, k, rhs, evaluate):  # y is the accepted state, at theta and g
@@ -496,7 +545,7 @@ def _drive(y0, loss, ctrl, theta_of, velocity, jacobian, positive=False):
     stiffness = _StiffnessTest() if adaptive and hessian is not None else None
     t, h, jac = 0.0, ctrl.h, None
     y = np.array(y0, dtype=float)
-    k = np.empty((len(_DP_A), *y.shape))  # RK4 and RODAS4 use only the first and the last stage
+    k, p = np.empty((len(_DP_A), *y.shape)), np.empty_like(y)
     optimum = getattr(loss, "optimal_value", 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         theta, val, g = evaluate(y)

@@ -15,9 +15,11 @@ can be replaced by any smooth objective that has
   without it the flow stays on Dormand–Prince;
 * ``optimal_value``, the infimum of the loss (optional, defaults to 0).
 
-Only the flow calls the loss: it reads ``optimal_value`` once per run and
-records the value and gradient per snapshot on the ``Trajectory``, which
-the diagnostics and the rate checks read instead.
+Every ``theta`` the flow passes is a fresh array that no later step
+writes to, so a loss may keep it (to cache on it, say). Only the flow
+calls the loss: it reads ``optimal_value`` once per run and records the
+value and gradient per snapshot on the ``Trajectory``, which the
+diagnostics and the rate checks read instead.
 
 Only the solvers that need the design matrix (``pl_constant``,
 ``solve_kkt``, ``run_bias``) require a ``QuadraticLoss``.

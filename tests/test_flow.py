@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diagflow import (
     DivergenceError,
@@ -18,9 +21,11 @@ from diagflow import (
     integrate,
     integrate_redundant,
     layer_rhs,
+    leave_one_out_products,
     make_problem,
     mirror_residual_general,
     run_bias,
+    theta_of_layers,
     theta_rhs,
     write_trajectory_csv,
 )
@@ -29,6 +34,8 @@ from diagflow.flow import (
     _MIN_STEP_FRACTION,
     DIVERGENCE_LIMIT,
     SNAPSHOT_BLOCK,
+    _guard,
+    _layer_factors,
     _layer_jacobian,
     _layer_velocity,
     _rodas_step,
@@ -248,6 +255,23 @@ def test_divergence_guard_branches(run, h, message):
         assert (top > DIVERGENCE_LIMIT) == ("diverged" in message)
 
 
+@pytest.mark.parametrize("layers", [
+    [[np.inf, 1.0], [0.0, 2.0]],             # inf * 0 in one coordinate
+    [[1e200, 1.0], [1e200, 2.0], [0.0, 3.0]],  # finite layers whose product overflows, times 0
+], ids=["inf_times_zero", "overflow_times_zero"])
+def test_guard_rejects_a_nan_theta_as_non_finite(layers):
+    # theta is NaN, so neither the fast path nor the bound on |theta| may accept it
+    y = np.array(layers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = theta_of_layers(y)
+        assert np.isnan(theta[0])
+        with pytest.raises(DivergenceError) as err:
+            _guard(y, theta, 0.5, 0.01, False)
+    assert str(err.value) == "non-finite state at t=0.5; reduce the step size"
+    assert (err.value.time, err.value.h) == (0.5, 0.01)
+    assert np.isnan(err.value.max_abs_theta)
+
+
 def test_adaptive_step_underflow():
     # curvature 1e16: no step above the floor meets the default tolerances
     loss = QuadraticLoss([[1e8]], [1.0])
@@ -332,6 +356,89 @@ def test_kept_rows_are_the_undecimated_rows_at_the_decimation_indices(ctrl, full
     for name in _FIELDS:
         assert np.array_equal(getattr(kept, name), getattr(full, name)[rows]), name
     assert kept.optimum == full.optimum
+
+
+def _reference_rk4(y0, loss, ctrl, theta_of, velocity):
+    """Fixed-step RK4 written out with allocating stages and the trapezoid xi,
+    every row recorded, then kept by the snapshot rule: the columns ``integrate``
+    must reproduce bit for bit."""
+    def rhs(y):
+        return velocity(y, loss.gradient(theta_of(y)))
+
+    t, h, y = 0.0, ctrl.h, np.array(y0, dtype=float)
+    theta = theta_of(y)
+    val, g = loss.value_and_gradient(theta)
+    xi, k1 = np.zeros(y.shape[1]), velocity(y, g)
+    rows = [(t, y, theta, xi, val, g)]
+    while t < ctrl.t_max - 1e-12 * ctrl.t_max:
+        h = min(h, ctrl.t_max - t)
+        k2 = rhs(y + (0.5 * h) * k1)
+        k3 = rhs(y + (0.5 * h) * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + h
+        theta = theta_of(y)
+        val, g_new = loss.value_and_gradient(theta)
+        k1 = velocity(y, g_new)
+        xi = xi - (0.5 * h) * (g + g_new)
+        g = g_new
+        rows.append((t, y, theta, xi, val, g))
+    keep = _decimation_rows(len(rows), ctrl.max_points)
+    return [np.array(column)[keep] for column in zip(*rows)]
+
+
+@pytest.mark.parametrize("max_points", [10**6, 37], ids=["every_row", "decimated"])
+@pytest.mark.parametrize("scheme", ["uniform", "zero_first"])
+@pytest.mark.parametrize("num_layers", [2, 3, 4, 5, 6])
+def test_fixed_run_equals_plain_rk4_bit_for_bit(num_layers, scheme, max_points):
+    # zero_first starts with an exact-zero layer
+    L, d = num_layers, 4
+    loss = make_problem(6, d, 80 + L, x_scale=0.5)
+    stack0 = init_layers(d, L, InitScheme(scheme), seed=90 + L)
+    ctrl = StepController(h=1e-3, t_max=0.3, max_points=max_points)
+    traj = integrate(stack0, loss, ctrl)
+    want = _reference_rk4(stack0.layers, loss, ctrl, theta_of_layers,
+                          lambda y, g: -leave_one_out_products(y) * g)
+    for name, column in zip(_FIELDS, want):
+        assert np.array_equal(getattr(traj, name), column), name
+
+
+@pytest.mark.parametrize("num_layers", [3, 4, 5])
+def test_fixed_tied_run_equals_plain_rk4_bit_for_bit(num_layers):
+    L = num_layers
+    loss = make_problem(3, 5, 21, positive=True)
+    ctrl = StepController(h=1e-3, t_max=0.3, max_points=50)
+    u0 = np.array([0.8, 1.1, 0.9, 0.7, 1.2])
+    traj = integrate_redundant(u0, L, loss, ctrl)
+    want = _reference_rk4(u0[None, :], loss, ctrl, lambda y: y.repeat(L, axis=0).prod(axis=0),
+                          lambda y, g: -L * y ** (L - 1) * g)
+    want[1] = np.repeat(want[1], L, axis=1)
+    for name, column in zip(_FIELDS, want):
+        assert np.array_equal(getattr(traj, name), column), name
+
+
+# signed zeros and infinities drawn often, so that products give -0.0 and
+# 0 * inf = NaN; magnitudes up to 1e80 overflow in products of up to 6 layers
+_node = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]), st.floats(-10.0, 10.0),
+                  st.floats(-1e80, 1e80))
+
+
+@given(st.integers(2, 6), st.integers(1, 4), st.data())
+def test_layer_factors_equal_theta_and_leave_one_out_products(num_layers, dim, data):
+    # one hook, one set of buffers: a non-finite stack, then a finite one,
+    # so that nothing the first call leaves in the buffers reaches the second
+    factors, p = _layer_factors(num_layers, dim), np.empty((num_layers, dim))
+    finite = st.floats(-10.0, 10.0)
+    stacks = [data.draw(arrays(float, (num_layers, dim), elements=_node)),
+              data.draw(arrays(float, (num_layers, dim), elements=finite))]
+    stacks[0][data.draw(st.integers(0, num_layers - 1)), data.draw(st.integers(0, dim - 1))] = np.inf
+    for y in stacks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = factors(y, p)
+            want = theta_of_layers(y), leave_one_out_products(y)
+        for got, expected in zip((theta, p), want):
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_fixed_run_holds_only_the_snapshots_it_returns():
@@ -509,11 +616,12 @@ def _one_rodas_step(f, jac, y, h):
     k = np.empty((7, *col.shape))
     k[0] = f(y)[:, None]
 
-    def rhs(col):
-        return f(col[:, 0])[:, None]
+    def rhs(col, out):
+        out[:] = f(col[:, 0])[:, None]
+        return out
 
     def evaluate(col_new):
-        k[-1] = rhs(col_new)
+        rhs(col_new, k[-1])
 
     factors = np.zeros_like(col), -jac(y)[None], np.zeros((1, 1))
     return _rodas_step(col, h, k, rhs, evaluate, factors)[0][:, 0]
