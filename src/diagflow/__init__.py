@@ -43,7 +43,6 @@ from .flow import (
     integrate,
     integrate_redundant,
     layer_rhs,
-    theta_rhs,
 )
 from .mirror import (
     HyperbolicEntropy,

@@ -20,13 +20,13 @@ velocity is ``-p * grad L(theta)``, written in place into the stepper's
 stage buffer. For the layer flow, P is the leave-one-out products and
 comes with theta from one prefix and one suffix product over reused
 buffers, float for float ``leave_one_out_products`` and
-``theta_of_layers``. Along the trajectory the accumulated dual variable
+``theta_of_layers``. The accumulated dual variable
 
     xi(t) = -integral_0^t grad L(theta(s)) ds
 
-is built up by trapezoidal quadrature on the full step grid (before any
-snapshot decimation), together with theta, the loss and its gradient per
-snapshot. Only this module calls the loss; the rest reads the ``Trajectory``.
+is the state's last row (velocity factor 1), integrated by every stepper
+with its own weights and recorded with theta, the loss and its gradient.
+Only this module calls the loss; the rest reads the ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import LayerStack, leave_one_out_products, mobility, theta_of_layers
+from .model import LayerStack, leave_one_out_products, theta_of_layers
 
 # Abort threshold on |theta|_inf: gradient flow on a quadratic cannot
 # diverge, so crossing this signals discretization failure.
@@ -87,8 +87,8 @@ class StepController:
     5(4) with FSAL, then RODAS4 if the run fails the stiffness test and the
     loss has ``hessian``; the switch rule is ``_drive``'s). ``max_points``
     caps the number of stored snapshots by the snapshot rule of
-    ``_Columns``; the dual-variable quadrature always runs on the
-    undecimated grid. ``stop_gap``, when set, ends the run early
+    ``_Columns``; xi is a state row, so decimation never coarsens it.
+    ``stop_gap``, when set, ends the run early
     once ``loss - optimal_value`` drops to that level.
     """
 
@@ -155,12 +155,8 @@ class Trajectory:
             yield Trajectory(*(column[rows] for column in columns), optimum=self.optimum)
 
 
-def _layer_velocity(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return -leave_one_out_products(y) * g
-
-
 def _layer_jacobian(y: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``(p, B)`` of ``_layer_velocity``'s Jacobian (``_w_solver``'s form).
+    """Factors ``(p, B)`` of ``layer_rhs``'s Jacobian in ``y`` (``_w_solver``'s form, ``q = p``).
 
     ``p`` holds ``P_j``, the product of the layers other than j, and
     ``B[i, j, k]`` is ``Q_jk g_i`` for j != k (0 on the diagonal), with
@@ -180,80 +176,76 @@ def _layer_jacobian(y: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _tied_jacobian(y: np.ndarray, g: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Factors ``(p, B)`` of the Jacobian of the tied velocity ``-L u^(L-1) g``
     of the row ``y = [u]``: ``-D H D - diag(L(L-1) u^(L-2) g)`` with
-    ``D = diag(L u^(L-1))``, so ``p = [L u^(L-1)]`` and the blocks are 1 x 1."""
+    ``D = diag(L u^(L-1))``, so ``q = p = [L u^(L-1)]`` and the blocks are 1 x 1."""
     u = y[0]
     return L * u[None, :] ** (L - 1), (L * (L - 1) * u ** (L - 2) * g)[:, None, None]
 
 
-def _w_solver(c: float, p: np.ndarray, B: np.ndarray, H: np.ndarray):
+def _w_solver(c: float, q: np.ndarray, p: np.ndarray, B: np.ndarray, H: np.ndarray):
     """``r -> W^-1 r`` for ``W = c I - J`` and a Jacobian in factors.
 
     On states of shape ``(m, d)`` (m rows of d coordinates), the factored
-    Jacobian is ``J = -diag(p) (1 1^T kron H) diag(p) - B``, where ``H`` is
+    Jacobian is ``J = -diag(q) (1 1^T kron H) diag(p) - B``, where ``H`` is
     the loss's d x d Hessian and ``B`` couples only the m entries of one
-    coordinate, as the blocks ``B[i]``. So ``W = A + U H U^T``, with ``A =
-    c I + B`` block diagonal by coordinate and ``U`` the (m d) x d matrix
-    that takes coordinate i to entry (j, i) with weight ``p[j, i]``, and the
-    Woodbury identity solves it by d inverses of m x m blocks and one d x d
-    solve: O(d m^3 + d^3) per solver and O(d m^2 + d^2) per solve, where a
-    dense W would take O((m d)^3).
+    coordinate, as the blocks ``B[i]``. So ``W = A + U_q H U_p^T``, with
+    ``A = c I + B`` block diagonal by coordinate and ``U_q`` (``U_p``) the
+    (m d) x d matrix that takes coordinate i to entry (j, i) with weight
+    ``q[j, i]`` (``p[j, i]``), and the Woodbury identity solves it by d
+    inverses of m x m blocks and one d x d solve: O(d m^3 + d^3) per solver
+    and O(d m^2 + d^2) per solve, where a dense W would take O((m d)^3).
     Raises ``LinAlgError`` when a block of ``A`` or the d x d system is singular.
     """
     m, d = p.shape
     a_inv = np.linalg.inv(c * np.eye(m) + B)           # (d, m, m)
-    a_inv_p = np.einsum("ijk,ki->ij", a_inv, p)         # A_i^-1 p_i, (d, m)
-    s = np.einsum("ji,ij->i", p, a_inv_p)               # U^T A^-1 U = diag(s)
+    a_inv_q = np.einsum("ijk,ki->ij", a_inv, q)         # A_i^-1 q_i, (d, m)
+    s = np.einsum("ji,ij->i", p, a_inv_q)               # U_p^T A^-1 U_q = diag(s)
     core = np.linalg.solve(np.eye(d) + H * s, H)        # (I + H diag(s))^-1 H
 
     def solve(r: np.ndarray) -> np.ndarray:
         x = np.einsum("ijk,ki->ji", a_inv, r)           # A^-1 r
-        return x - a_inv_p.T * (core @ (p * x).sum(axis=0))
+        return x - a_inv_q.T * (core @ (p * x).sum(axis=0))
 
     return solve
 
 
-def _layer_factors(num_layers: int, dim: int):
+def _layer_factors(L: int, dim: int):
     """The layer flow's ``factors(y, p) -> theta`` hook, with its own buffers.
 
     ``prefix[j]`` is the product of layers ``0..j-1`` (row 0 is 1) and
     ``suffix[j]`` that of layers ``L-1`` down to ``j+1`` (row L-1 is 1), each
     by one ``np.multiply.accumulate``, so ``p = prefix * suffix`` and theta
-    (``prefix[-1] * y[-1]``, a fresh array) multiply the same factors in the
+    (``prefix[-1] * y[L-1]``, a fresh array) multiply the same factors in the
     same order as ``leave_one_out_products`` and ``theta_of_layers``: every
-    float is theirs.
+    float is theirs. It reads ``y[:L]`` and writes ``p[:L]``, not xi's row.
     """
-    prefix, suffix = np.ones((num_layers, dim)), np.ones((num_layers, dim))
+    prefix, suffix = np.ones((L, dim)), np.ones((L, dim))
     prefix_rows, suffix_rows, last = prefix[1:], suffix[-2::-1], prefix[-1]
 
     def factors(y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        np.multiply.accumulate(y[:-1], axis=0, out=prefix_rows)
-        np.multiply.accumulate(y[:0:-1], axis=0, out=suffix_rows)
-        np.multiply(prefix, suffix, p)
-        return last * y[-1]
+        np.multiply.accumulate(y[:L - 1], axis=0, out=prefix_rows)
+        np.multiply.accumulate(y[L - 1:0:-1], axis=0, out=suffix_rows)
+        np.multiply(prefix, suffix, p[:L])
+        return last * y[L - 1]
 
     return factors
 
 
 def layer_rhs(stack: LayerStack, loss) -> np.ndarray:
     """Right-hand side of the layer dynamic, one row per layer."""
-    return _layer_velocity(stack.layers, loss.gradient(theta_of_layers(stack.layers)))
-
-
-def theta_rhs(stack: LayerStack, loss) -> np.ndarray:
-    """Velocity of theta: minus the mobility diagonal times the gradient."""
-    return -mobility(stack.layers) * loss.gradient(theta_of_layers(stack.layers))
+    return -leave_one_out_products(stack.layers) * loss.gradient(theta_of_layers(stack.layers))
 
 
 def _guard(y: np.ndarray, theta: np.ndarray, t: float, h: float, positive: bool) -> None:
     # fast path: a NaN in theta fails the first test, a non-finite y the second
     top = float(np.abs(theta).max())
-    if top <= DIVERGENCE_LIMIT and math.isfinite(y.sum()) and not (positive and (y <= 0).any()):
+    left = positive and (y[:-1] <= 0).any()  # xi, y's last row, may be negative
+    if top <= DIVERGENCE_LIMIT and math.isfinite(y.sum()) and not left:
         return
     if not (np.isfinite(y).all() and np.isfinite(theta).all()):
         raise DivergenceError(t, h, top, f"non-finite state at t={t:.6g}; reduce the step size")
     if top > DIVERGENCE_LIMIT:
         raise DivergenceError(t, h, top)
-    if positive and (y <= 0).any():
+    if left:
         raise DivergenceError(t, h, top,
                               f"state left the positive orthant at t={t:.6g}; reduce the step size")
 
@@ -325,9 +317,9 @@ class _Columns:
 def integrate(stack0: LayerStack, loss, ctrl: StepController) -> Trajectory:
     """Run gradient flow on the layers from ``stack0`` until ``ctrl.t_max``.
 
-    Snapshots follow the snapshot rule of ``_Columns``; xi is accumulated
-    by the trapezoidal rule on the full accepted grid. Deterministic given
-    its inputs.
+    Snapshots follow the snapshot rule of ``_Columns``; xi is integrated
+    as one more state row, by the stepper's own weights. Deterministic
+    given its inputs.
 
     Raises ``DivergenceError`` when the state leaves the finite region and,
     in adaptive mode, ``StepUnderflowError`` when no acceptable step exists.
@@ -352,9 +344,9 @@ def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepControl
         raise ValueError("u0 must be a strictly positive vector")
     L = num_layers
 
-    def factors(y, p):  # the state is the one row u; theta is the product of its L copies
-        np.multiply(L, y ** (L - 1), p)
-        return y.repeat(L, axis=0).prod(axis=0)
+    def factors(y, p):  # the state is the row u, then xi; theta is the product of L copies of u
+        np.multiply(L, y[:1] ** (L - 1), p[:1])
+        return y[:1].repeat(L, axis=0).prod(axis=0)
 
     traj = _drive(u0[None, :], loss, ctrl, factors=factors,
                   jacobian=lambda y, g: _tied_jacobian(y, g, L), positive=True)
@@ -397,9 +389,10 @@ _DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 
 
 
 def _error_ratio(err, y, y_new) -> float:
-    """Max-norm of ``err`` over ``_ATOL + _RTOL * max(|y|, |y_new|)``; infinite when not finite."""
-    scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new)).ravel()
-    ratio = float(np.max(np.abs(err) / scale))
+    """Max-norm of the flat ``err`` over ``_ATOL + _RTOL * max(|y|, |y_new|)``
+    on every row but xi's, the last; infinite when not finite."""
+    scale = _ATOL + _RTOL * np.maximum(np.abs(y[:-1]), np.abs(y_new[:-1])).ravel()
+    ratio = float(np.max(np.abs(err[:scale.size]) / scale))
     return ratio if np.isfinite(ratio) else np.inf
 
 
@@ -421,7 +414,7 @@ class _StiffnessTest:
 
     Stages 6 and 7 are velocities at two points ``h * (a7 - a6) @ k``
     apart, so ``|k7 - k6| / |(a7 - a6) @ k|`` estimates h times the
-    Jacobian's spectral radius along the step.
+    Jacobian's spectral radius along the step; xi's row, left out, would dilute it.
     """
 
     _A76 = _DP_A[6] - _DP_A[5]
@@ -431,7 +424,7 @@ class _StiffnessTest:
 
     def stiff(self, k) -> bool:
         """Score the accepted step whose stages are ``k``; True once the run is stiff."""
-        flat = k.reshape(len(k), -1)
+        flat = k[:, :-1].reshape(len(k), -1)
         spread = np.linalg.norm(self._A76 @ flat[:6])
         if np.linalg.norm(flat[6] - flat[5]) > _STIFF_H_LAMBDA * spread > 0:
             self.fails, self.passes = self.fails + 1, 0
@@ -492,10 +485,12 @@ def _rodas_step(y, h, k, rhs, evaluate, jacobian):
 def _drive(y0, loss, ctrl, factors, jacobian, positive=False):
     """Integrate ``dy/dt = -p * grad L(theta)``, ``theta = factors(y, p)``, under ``ctrl``.
 
-    The one flow hook, ``factors(y, p)``, writes the velocity's factors at
-    ``y`` into the run's buffer ``p`` and returns theta as a fresh array,
-    which the loss may keep. ``rhs(y, out)`` writes the velocity at ``y``
-    into ``out``, a row of the stage buffer ``k``, and returns it.
+    The state ``y`` is ``y0`` with xi's row appended, from 0, and is recorded
+    as the layers ``y[:-1]`` and xi ``y[-1]``. The one flow hook,
+    ``factors(y, p)``, writes the velocity's factors at ``y0``'s rows into
+    the run's buffer ``p``, whose last row stays 1, and returns theta as a
+    fresh array, which the loss may keep. ``rhs(y, out)`` writes the
+    velocity at ``y`` into ``out``, a row of the stage buffer ``k``.
 
     The steppers share one protocol: ``step(y, h, k, rhs, evaluate)``
     starts with the velocity at ``y`` in ``k[0]``, writes its other stages
@@ -507,17 +502,19 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False):
     ``value_and_gradient``, adaptive mode's steps five and one per attempt,
     after which the controller rescales ``h`` by ``0.9 * ratio ** -(1 / (q
     + 1))``, clipped to [0.2, 5], with q the order of the step's error
-    estimate.
+    estimate. ``_error_ratio`` leaves xi's row out of the norm.
 
     The switch rule: adaptive runs start on Dormand–Prince (q = 4). When
     the loss has ``hessian(theta)``, every accepted step is scored by
     ``_StiffnessTest``, and a run that it finds stiff goes on with RODAS4
-    (q = 3) for good. ``jacobian(y, g)`` gives the velocity's Jacobian at
-    ``y``, where the gradient is ``g``, as ``(p, B)`` in ``_w_solver``'s
-    form; with the Hessian it is taken once per accepted state, and each
-    attempt builds one ``_w_solver`` from it. A run that never turns stiff
-    keeps every float of a Dormand–Prince run. The step floor binds only
-    after a rejected step. The snapshot rule is ``_Columns``'s.
+    (q = 3) for good. ``jacobian(y[:-1], g)`` gives the Jacobian of ``y0``'s
+    rows as ``(p, B)`` (``_w_solver``'s, ``q = p``). Xi's row of the Jacobian
+    is ``-H diag(p)``, so the buffers ``q``, ``right`` and ``B_xi`` take
+    ``[p; 1]``, ``[p; 0]`` and ``B`` with a zero row and column; with the
+    Hessian they are taken once per accepted state, and each attempt builds
+    one ``_w_solver`` from them. A run that never turns stiff keeps every
+    float of a Dormand–Prince run. The step floor binds only after a
+    rejected step. The snapshot rule is ``_Columns``'s.
     """
     value_and_gradient = getattr(loss, "value_and_gradient", None)
     if value_and_gradient is None:
@@ -537,31 +534,31 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False):
     def rodas_step(y, h, k, rhs, evaluate):  # y is the accepted state, at theta and g
         nonlocal jac
         if jac is None:  # once per accepted state: a retry from y reuses it
-            jac = (*jacobian(y, g), hessian(theta))
+            q[:-1], B = jacobian(y[:-1], g)
+            right[:-1], B_xi[:, :-1, :-1] = q[:-1], B
+            jac = (q, right, B_xi, hessian(theta))
         return _rodas_step(y, h, k, rhs, evaluate, jac)
 
     adaptive = ctrl.mode == "adaptive"
     step, exponent = (_dopri_step if adaptive else _rk4_step), -0.2
     stiffness = _StiffnessTest() if adaptive and hessian is not None else None
     t, h, jac = 0.0, ctrl.h, None
-    y = np.array(y0, dtype=float)
-    k, p = np.empty((len(_DP_A), *y.shape)), np.empty_like(y)
+    y = np.vstack([y0, np.zeros((1, y0.shape[1]))])
+    k, p = np.empty((len(_DP_A), *y.shape)), np.ones_like(y)
+    q, right, B_xi = np.ones_like(y), np.zeros_like(y), np.zeros((y.shape[1], len(y), len(y)))
     optimum = getattr(loss, "optimal_value", 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         theta, val, g = evaluate(y)
         k[0] = k[-1]
-        xi = np.zeros(y.shape[1])
-        columns = _Columns((t, y, theta, xi, val, g), ctrl)
+        columns = _Columns((t, y[:-1], theta, y[-1], val, g), ctrl)
         while (h := _next_step(t, h, ctrl.t_max)) is not None:
             y_new, ratio, state = step(y, h, k, rhs, evaluate)
             if ratio <= 1.0:
                 y, t = y_new, t + h
-                theta, val, g_new = state
+                theta, val, g = state
                 jac = None
                 _guard(y, theta, t, h, positive)
-                xi = xi - (0.5 * h) * (g + g_new)
-                g = g_new
-                columns.add((t, y, theta, xi, val, g))
+                columns.add((t, y[:-1], theta, y[-1], val, g))
                 if ctrl.stop_gap is not None and val - optimum <= ctrl.stop_gap:
                     break
                 if stiffness is not None and stiffness.stiff(k):

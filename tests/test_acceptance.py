@@ -116,6 +116,28 @@ def test_criterion_4_mirror_identity_two_layer():
     assert worst <= 1e-5
 
 
+def test_two_layer_mirror_identity_is_fourth_order():
+    # criterion 4's runs: xi is the state's last row, so RK4 integrates it
+    # with the layers at O(h^4) (measured 8.0e-12 at h = 1e-3, halving
+    # ratios 15.9-16.2 from h = 4e-3; a trapezoid xi gave 2.7e-6 and 4.0)
+    residuals = {}
+    for h in (4e-3, 2e-3, 1e-3):
+        rng = np.random.default_rng(1)
+        residuals[h] = []
+        for s in range(10):
+            d = int(rng.integers(2, 7))
+            loss = make_problem(d + 2, d, 9000 + s, x_scale=0.7)
+            u = rng.uniform(0.5, 1.5, d) * rng.choice([-1.0, 1.0], d)
+            v = rng.uniform(0.05, 0.4, d) * rng.choice([-1.0, 1.0], d)
+            traj = integrate(LayerStack(np.stack([u, v])), loss,
+                             StepController(h=h, t_max=5.0, max_points=10**6))
+            residuals[h].append(mirror_residual_closed_form(traj, HyperbolicEntropy(u, v)))
+    # at h = 1e-3 the error is already near rounding, so the ratio is taken above it
+    ratios = [a / b for a, b in zip(residuals[4e-3], residuals[2e-3])]
+    assert max(residuals[1e-3]) <= 2e-11, residuals[1e-3]
+    assert all(12.0 <= r <= 20.0 for r in ratios), ratios
+
+
 def test_criterion_5_mirror_identity_general_depth():
     rng = np.random.default_rng(0)
     worst = 0.0

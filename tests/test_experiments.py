@@ -20,6 +20,7 @@ from diagflow import (
     locate_min_layers,
     make_problem,
     min_l1_norm,
+    mirror_residual_closed_form,
     pl_constant,
     rate_check,
     run_bias,
@@ -440,6 +441,20 @@ def test_tied_small_alpha_flow_stays_at_a_saddle(num_layers, alpha, gap):
     assert traj.losses[-1] - traj.optimum == pytest.approx(gap, rel=1e-13)
     assert abs(traj.final_theta[1] - 3.0007) < 1e-4
     assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("model, layers, alphas", [
+    ("two_layer", 2, (1.0, 0.1, 0.01)),
+    ("redundant", 4, (1.0, 0.1, 0.03)),
+])
+def test_run_bias_rows_hold_the_closed_form_mirror_identity(model, layers, alphas):
+    # bias's instance (n=3, d=6, seed 0); the tied rows switch to RODAS4,
+    # which integrates xi's row with the layers (residuals measured up to
+    # 1.3e-6; a trapezoid xi gave up to 7.3e-4)
+    cfg = ExperimentConfig(n=3, dim=6, layers=layers, seed=0, t_max=1e4)
+    for row in run_bias(cfg, alphas=alphas, model=model).rows:
+        assert mirror_residual_closed_form(row.trajectory, row.entropy) <= 1e-5, row.alpha
+        assert row.linf_mismatch <= 1e-3
 
 
 def test_run_bias_requires_underdetermined_instance():

@@ -24,21 +24,24 @@ from diagflow import (
     leave_one_out_products,
     make_problem,
     mirror_residual_general,
+    mobility,
     run_bias,
     theta_of_layers,
-    theta_rhs,
     write_trajectory_csv,
 )
+from diagflow import flow as flow_module
 from diagflow.experiments import FLOW_LIMIT_GAP, GAP_TARGET
 from diagflow.flow import (
     _MIN_STEP_FRACTION,
+    _STIFF_FAILS,
     DIVERGENCE_LIMIT,
     SNAPSHOT_BLOCK,
+    _error_ratio,
     _guard,
     _layer_factors,
     _layer_jacobian,
-    _layer_velocity,
     _rodas_step,
+    _StiffnessTest,
     _tied_jacobian,
     _w_solver,
 )
@@ -81,11 +84,16 @@ def test_layer_rhs_matches_finite_differences_of_composite_loss():
             np.testing.assert_allclose(-rhs[j, i], fd, rtol=1e-6, atol=1e-9)
 
 
+def _theta_velocity(stack, loss):
+    """Velocity of theta: minus the mobility diagonal times the gradient."""
+    return -mobility(stack.layers) * loss.gradient(stack.theta)
+
+
 def test_theta_rhs_diagonal_weights():
     stack = LayerStack([[1.0, 2.0], [3.0, 4.0]])
     loss = QuadraticLoss(np.eye(2), np.zeros(2))
     g = loss.gradient(stack.theta)
-    assert np.allclose(theta_rhs(stack, loss), [-10.0 * g[0], -20.0 * g[1]], rtol=1e-14)
+    assert np.allclose(_theta_velocity(stack, loss), [-10.0 * g[0], -20.0 * g[1]], rtol=1e-14)
 
 
 def test_theta_rhs_consistent_with_product_rule():
@@ -95,16 +103,15 @@ def test_theta_rhs_consistent_with_product_rule():
         d = int(rng.integers(1, 6))
         loss = QuadraticLoss(rng.uniform(-1, 1, (d + 1, d)), rng.uniform(-1, 1, d + 1))
         stack = LayerStack(rng.uniform(-1.5, 1.5, (L, d)))
-        direct = theta_rhs(stack, loss)
+        direct = _theta_velocity(stack, loss)
         rhs = layer_rhs(stack, loss)
-        from diagflow import leave_one_out_products
         chained = np.sum(leave_one_out_products(stack.layers) * rhs, axis=0)
         np.testing.assert_allclose(direct, chained, rtol=1e-12, atol=1e-14)
 
 
 def test_theta_rhs_zero_gradient():
     loss = QuadraticLoss(np.array([[1.0]]), np.array([6.0]))
-    assert np.array_equal(theta_rhs(LayerStack([[2.0], [3.0]]), loss), [0.0])
+    assert np.array_equal(_theta_velocity(LayerStack([[2.0], [3.0]]), loss), [0.0])
 
 
 def test_integrate_equilibrium_is_constant():
@@ -159,7 +166,7 @@ def test_theta_increments_match_theta_dynamic():
     loss = make_problem(6, 4, 5, x_scale=0.5)
     stack0 = init_layers(4, 3, InitScheme("uniform"), seed=6)
     traj = integrate(stack0, loss, StepController(h=1e-3, t_max=2.0, max_points=10**6))
-    vel = np.array([theta_rhs(traj.stack_at(k), loss) for k in range(len(traj))])
+    vel = np.array([_theta_velocity(traj.stack_at(k), loss) for k in range(len(traj))])
     dt = np.diff(traj.times)[:, None]
     increments = traj.thetas[1:] - traj.thetas[:-1]
     quad = 0.5 * dt * (vel[:-1] + vel[1:])
@@ -315,7 +322,7 @@ def test_snapshot_decimation_caps_points_but_not_xi_accuracy():
     assert len(full) == 2001
     assert len(thin) <= 100
     assert thin.times[-1] == full.times[-1]
-    # xi is accumulated on the full grid before decimation
+    # xi is a state row, integrated on the full grid before decimation
     assert np.array_equal(thin.xi[-1], full.xi[-1])
     # every kept snapshot is the full run's row at the same time
     rows = np.searchsorted(full.times, thin.times)
@@ -359,17 +366,20 @@ def test_kept_rows_are_the_undecimated_rows_at_the_decimation_indices(ctrl, full
 
 
 def _reference_rk4(y0, loss, ctrl, theta_of, velocity):
-    """Fixed-step RK4 written out with allocating stages and the trapezoid xi,
-    every row recorded, then kept by the snapshot rule: the columns ``integrate``
-    must reproduce bit for bit."""
-    def rhs(y):
-        return velocity(y, loss.gradient(theta_of(y)))
+    """Fixed-step RK4 written out with allocating stages, xi carried as the
+    state's last row with velocity ``-g``, every row recorded, then kept by
+    the snapshot rule: the columns ``integrate`` must reproduce bit for bit."""
+    def augmented(y, g):
+        return np.vstack([velocity(y[:-1], g), -g])
 
-    t, h, y = 0.0, ctrl.h, np.array(y0, dtype=float)
-    theta = theta_of(y)
+    def rhs(y):
+        return augmented(y, loss.gradient(theta_of(y[:-1])))
+
+    t, h, y = 0.0, ctrl.h, np.vstack([y0, np.zeros(np.shape(y0)[1])])
+    theta = theta_of(y[:-1])
     val, g = loss.value_and_gradient(theta)
-    xi, k1 = np.zeros(y.shape[1]), velocity(y, g)
-    rows = [(t, y, theta, xi, val, g)]
+    k1 = augmented(y, g)
+    rows = [(t, y[:-1], theta, y[-1], val, g)]
     while t < ctrl.t_max - 1e-12 * ctrl.t_max:
         h = min(h, ctrl.t_max - t)
         k2 = rhs(y + (0.5 * h) * k1)
@@ -377,12 +387,10 @@ def _reference_rk4(y0, loss, ctrl, theta_of, velocity):
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + h
-        theta = theta_of(y)
-        val, g_new = loss.value_and_gradient(theta)
-        k1 = velocity(y, g_new)
-        xi = xi - (0.5 * h) * (g + g_new)
-        g = g_new
-        rows.append((t, y, theta, xi, val, g))
+        theta = theta_of(y[:-1])
+        val, g = loss.value_and_gradient(theta)
+        k1 = augmented(y, g)
+        rows.append((t, y[:-1], theta, y[-1], val, g))
     keep = _decimation_rows(len(rows), ctrl.max_points)
     return [np.array(column)[keep] for column in zip(*rows)]
 
@@ -539,6 +547,30 @@ def test_a_run_that_never_turns_stiff_keeps_the_dormand_prince_floats(make_loss,
         assert all(np.array_equal(getattr(r, name), getattr(runs[-1], name)) for r in runs), name
 
 
+def test_error_ratio_leaves_xi_row_out():
+    # xi, the state's last row, never shapes the grid: with it in the norm
+    # the tied L=4, alpha=1 bias flow took 303 rows instead of 194
+    y = np.ones((3, 2))  # every scale is _ATOL + _RTOL = 1.01e-8
+    for xi_err in (0.0, 1e-3, np.inf, np.nan):
+        err = np.array([2.02e-8, -1e-9, 0.0, 5e-9, xi_err, -xi_err])
+        assert _error_ratio(err, y, y) == pytest.approx(2.0)
+
+
+def test_stiffness_test_reads_the_flow_rows_only():
+    # stages whose flow rows fail the test (|k7 - k6| far above the spread
+    # |(a7 - a6) @ k|) make the run stiff at the 15th step whatever xi's
+    # row, the last, holds; counted in the norms, xi's row delayed the
+    # switch to RODAS4 by up to 68 steps on two-layer bias flows
+    # (n=8, d=16), or kept a run from switching at all
+    rng = np.random.default_rng(0)
+    test = _StiffnessTest()
+    for step in range(1, _STIFF_FAILS + 1):
+        k = 1.0 + 1e-3 * rng.standard_normal((7, 3, 4))
+        k[6] += rng.standard_normal((3, 4))
+        k[:, -1] = 10.0 * rng.standard_normal((7, 4))
+        assert test.stiff(k) == (step == _STIFF_FAILS), step
+
+
 def _central_differences(velocity, y, eps=1e-6):
     """The Jacobian of ``velocity`` at ``y`` by central differences, in ``y.ravel()``'s order."""
     columns = []
@@ -550,46 +582,103 @@ def _central_differences(velocity, y, eps=1e-6):
     return np.array(columns).T
 
 
-def _dense_jacobian(p, B, H):
-    """The Jacobian whose factors are ``(p, B, H)`` (``_w_solver``'s form), in ``p.ravel()``'s order."""
+def _dense_jacobian(q, p, B, H):
+    """The Jacobian with factors ``(q, p, B, H)`` (``_w_solver``'s form), in ``p.ravel()``'s order."""
     m, d = p.shape
-    J = -p.ravel()[:, None] * np.tile(H, (m, m)) * p.ravel()
+    J = -q.ravel()[:, None] * np.tile(H, (m, m)) * p.ravel()
     i = np.arange(d)
     J.reshape(m, d, m, d)[:, i, :, i] -= B
     return J
 
 
-def _check_factors(p, B, H, velocity, y):
+def _check_factors(q, p, B, H, velocity, y):
     """The factors give ``velocity``'s Jacobian at ``y``, and ``_w_solver`` solves with it."""
-    J = _dense_jacobian(p, B, H)
+    J = _dense_jacobian(q, p, B, H)
     np.testing.assert_allclose(J, _central_differences(velocity, y), rtol=1e-6, atol=1e-8)
     c = 3.7  # 1 / (h gamma)
     r = np.random.default_rng(3).standard_normal(y.shape)
-    x = _w_solver(c, p, B, H)(r)
+    x = _w_solver(c, q, p, B, H)(r)
     np.testing.assert_allclose((c * np.eye(y.size) - J) @ x.ravel(), r.ravel(), atol=1e-12)
+
+
+def _jacobian_case(flow, L):
+    """A state ``y`` of the layer flow or of the tied flow, with its loss, its
+    theta, its velocity factor P (the velocity is ``-P g``) and the factors
+    ``(p, B)`` of its Jacobian. One layer of the layer flow is an exact zero:
+    the hook's products of the other layers take no division."""
+    if flow == "layers":
+        loss = make_problem(5, 3, 60 + L)
+        y = init_layers(3, L, InitScheme("uniform", scale=1.5), seed=70 + L).layers.copy()
+        y[L // 2] = 0.0
+        theta_of, factor = (lambda y: np.prod(y, axis=0)), leave_one_out_products
+        return (loss, y, theta_of, factor, *_layer_jacobian(y, loss.gradient(theta_of(y))))
+    loss = make_problem(3, 6, 40, positive=True)
+    y = init_layers(6, 2, InitScheme("positive", scale=1.5), seed=50).layers[:1]
+    theta_of, factor = (lambda y: y[0] ** L), (lambda y: L * y ** (L - 1))
+    return (loss, y, theta_of, factor, *_tied_jacobian(y, loss.gradient(theta_of(y)), L))
 
 
 @pytest.mark.parametrize("num_layers", [2, 3, 4, 5])
 def test_layer_jacobian_matches_central_differences(num_layers):
-    # one exact-zero layer: the hook's products of the other layers take no division
-    L, d = num_layers, 3
-    loss = make_problem(5, d, 60 + L)
-    y = init_layers(d, L, InitScheme("uniform", scale=1.5), seed=70 + L).layers.copy()
-    y[L // 2] = 0.0
-    theta = np.prod(y, axis=0)
-    p, B = _layer_jacobian(y, loss.gradient(theta))
-    _check_factors(p, B, loss.hessian(theta),
-                   lambda y: _layer_velocity(y, loss.gradient(np.prod(y, axis=0))), y)
+    loss, y, theta_of, factor, p, B = _jacobian_case("layers", num_layers)
+    _check_factors(p, p, B, loss.hessian(theta_of(y)),
+                   lambda y: layer_rhs(LayerStack(y), loss), y)
 
 
 @pytest.mark.parametrize("num_layers", [3, 4, 5])
 def test_tied_jacobian_matches_central_differences(num_layers):
-    L = num_layers
-    loss = make_problem(3, 6, 40, positive=True)
-    y = init_layers(6, 2, InitScheme("positive", scale=1.5), seed=50).layers[:1]
-    p, B = _tied_jacobian(y, loss.gradient(y[0] ** L), L)
-    _check_factors(p, B, loss.hessian(y[0] ** L),
-                   lambda y: -L * y ** (L - 1) * loss.gradient(y[0] ** L), y)
+    loss, y, theta_of, factor, p, B = _jacobian_case("tied", num_layers)
+    _check_factors(p, p, B, loss.hessian(theta_of(y)),
+                   lambda y: -factor(y) * loss.gradient(theta_of(y)), y)
+
+
+@pytest.mark.parametrize("flow, num_layers", [
+    *(("layers", L) for L in (2, 3, 4, 5)), *(("tied", L) for L in (3, 4, 5))])
+def test_jacobian_with_the_xi_row_matches_central_differences(flow, num_layers):
+    # the velocity -[P; 1] g of the state _drive integrates, xi's row last:
+    # xi's Jacobian row is -H diag(p) and nothing depends on xi, so the
+    # flow's factors (p, B) are padded to q = [p; 1], [p; 0] and a zero row
+    # and column of B, and _w_solver solves with q != p
+    loss, y, theta_of, factor, p, B = _jacobian_case(flow, num_layers)
+    ones = np.ones((1, y.shape[1]))
+    _check_factors(np.vstack([p, ones]), np.vstack([p, 0 * ones]),
+                   np.pad(B, ((0, 0), (0, 1), (0, 1))), loss.hessian(theta_of(y)),
+                   lambda s: -np.vstack([factor(s[:-1]), ones]) * loss.gradient(theta_of(s[:-1])),
+                   np.vstack([y, -0.7 * ones]))
+
+
+@pytest.mark.parametrize("flow", ["layers", "tied"])
+def test_rodas4_gets_the_jacobian_of_the_whole_state(flow, monkeypatch):
+    # the factors _drive hands RODAS4 are the Jacobian of the state it steps
+    # from, xi's row included; a right factor padded with 1, a false
+    # dependence on xi, kept the tied bias flows at small alpha from finishing
+    handed = []
+
+    def spy(y, h, k, rhs, evaluate, jacobian):
+        handed.append((y.copy(), *(a.copy() for a in jacobian)))
+        return _rodas_step(y, h, k, rhs, evaluate, jacobian)
+
+    monkeypatch.setattr(flow_module, "_rodas_step", spy)
+    L = 4
+    if flow == "layers":  # switches between t = 50 and 100
+        loss = make_problem(6, 4, 0)
+        integrate(init_layers(4, L, InitScheme("uniform", scale=0.3), seed=1), loss,
+                  StepController(mode="adaptive", t_max=100.0))
+        theta_of, factor = (lambda y: np.prod(y, axis=0)), leave_one_out_products
+    else:  # run_bias's tied instance at alpha = 1, which switches between t = 1 and 5
+        rng = np.random.default_rng(0)
+        X = 1.0 - rng.random((3, 6))
+        loss = QuadraticLoss(X, X @ (0.5 + rng.random(6)))
+        u0 = 0.5 + 0.5 * np.random.default_rng(1).random(6)
+        integrate_redundant(u0, L, loss, StepController(mode="adaptive", t_max=5.0))
+        theta_of, factor = (lambda y: y[0] ** L), (lambda y: L * y ** (L - 1))
+
+    def velocity(s):
+        return -np.vstack([factor(s[:-1]), np.ones((1, s.shape[1]))]) * loss.gradient(theta_of(s[:-1]))
+
+    assert len(handed) > 1
+    for y, q, p, B, H in (handed[0], handed[-1]):
+        _check_factors(q, p, B, H, velocity, y)
 
 
 def test_w_solver_never_forms_the_dense_matrix():
@@ -600,9 +689,10 @@ def test_w_solver_never_forms_the_dense_matrix():
     y = init_layers(d, L, InitScheme("uniform"), seed=6).layers
     theta = np.prod(y, axis=0)
     H, g = loss.hessian(theta), loss.gradient(theta)
+    p, B = _layer_jacobian(y, g)
     tracemalloc.start()
     try:
-        _w_solver(4.0, *_layer_jacobian(y, g), H)(np.ones_like(y))
+        _w_solver(4.0, p, p, B, H)(np.ones_like(y))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -611,20 +701,25 @@ def test_w_solver_never_forms_the_dense_matrix():
 
 def _one_rodas_step(f, jac, y, h):
     """One RODAS4 step of ``y' = f(y)`` with the dense Jacobian ``jac``, as one
-    coordinate of ``len(y)`` rows: ``B = -J`` and no Hessian term."""
-    col = y[:, None]
+    coordinate of ``len(y)`` rows and, in xi's place, a last row that stays
+    still and that the error ratio leaves out: ``B = -J`` padded with zeros,
+    and no Hessian term."""
+    m = len(y)
+    col = np.append(y, 0.0)[:, None]
     k = np.empty((7, *col.shape))
-    k[0] = f(y)[:, None]
 
     def rhs(col, out):
-        out[:] = f(col[:, 0])[:, None]
+        out[:] = np.append(f(col[:m, 0]), 0.0)[:, None]
         return out
 
     def evaluate(col_new):
         rhs(col_new, k[-1])
 
-    factors = np.zeros_like(col), -jac(y)[None], np.zeros((1, 1))
-    return _rodas_step(col, h, k, rhs, evaluate, factors)[0][:, 0]
+    rhs(col, k[0])
+    B = np.zeros((1, m + 1, m + 1))
+    B[0, :m, :m] = -jac(y)
+    factors = np.zeros_like(col), np.zeros_like(col), B, np.zeros((1, 1))
+    return _rodas_step(col, h, k, rhs, evaluate, factors)[0][:m, 0]
 
 
 def test_rodas_step_is_fourth_order():
