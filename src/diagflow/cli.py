@@ -164,9 +164,9 @@ def _print_table(rows: list[tuple[str, str, bool | None]]) -> bool:
     return all(ok is not False for _, _, ok in rows)
 
 
-# A flow command returns (write, diag, rows): the writer of its --output CSV,
-# its diagnostics (None unless asked for or read by the table) and its table
-# rows. It writes nothing; main does, once all three are built.
+# A command returns (write, diag, rows): the writer of its --output CSV, its
+# diagnostics (None unless asked for or read by the table) and its table rows;
+# paramcheck has neither file. It writes nothing; main does, once all are built.
 
 
 def _cmd_simulate(cfg: ExperimentConfig, want_diag: bool):
@@ -236,7 +236,7 @@ def _cmd_bias(cfg: ExperimentConfig, want_diag: bool):
     return result.write, diag, rows
 
 
-def _cmd_paramcheck(cfg: ExperimentConfig):
+def _cmd_paramcheck(cfg: ExperimentConfig, want_diag: bool):
     c = pc.certify(cfg.layers, cfg.dim, cfg.n, cfg.seed)
     rows = [
         (f"commuting defect, {cfg.n} samples", f"{c.max_defect:.3e}", c.max_defect == 0.0),
@@ -252,23 +252,20 @@ def _cmd_paramcheck(cfg: ExperimentConfig):
          c.control_defect > COUNTEREXAMPLE_MIN_DEFECT),
         ("unique-minimum init lies on manifold", str(c.init_on_manifold), c.init_on_manifold),
     ]
-    return rows
+    return None, None, rows
 
 
 def main(argv=None) -> int:
     command, cfg, output, diagnostics = _parse(build_parser(), argv)
+    run = {"simulate": _cmd_simulate, "crossings": _cmd_crossings, "bias": _cmd_bias,
+           "convergence": _cmd_convergence, "paramcheck": _cmd_paramcheck}[command]
     try:
-        if command == "paramcheck":
-            rows = _cmd_paramcheck(cfg)
-        else:
-            run = {"simulate": _cmd_simulate, "crossings": _cmd_crossings,
-                   "convergence": _cmd_convergence, "bias": _cmd_bias}[command]
-            write, diag, rows = run(cfg, diagnostics is not None)
-            # every check is built: the one place that writes the files
-            if output:
-                write(output)
-            if diagnostics:
-                diag.write(diagnostics)
+        write, diag, rows = run(cfg, diagnostics is not None)
+        # every check is built: the one place that writes the files
+        if output:
+            write(output)
+        if diagnostics:
+            diag.write(diagnostics)
         return 0 if _print_table(rows) else 1
     except (DivergenceError, StepUnderflowError, NewtonError, TiedMinimumError,
             SingularMobilityError, np.linalg.LinAlgError, ValueError, OSError) as exc:

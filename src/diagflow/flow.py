@@ -14,13 +14,12 @@ Jacobian. That Jacobian is kept in factors, so the linear algebra of a
 RODAS4 attempt grows as d^3 + d L^3 with the coordinates d and layers L,
 not as (L d)^3. Either way an attempted step costs six loss evaluations.
 
-Each flow hands the driver one hook, ``factors(y, p) -> theta``, which
-writes the velocity's factors P into ``p`` and returns theta, so that the
-velocity is ``-p * grad L(theta)``, written in place into the stepper's
-stage buffer. For the layer flow, P is the leave-one-out products and
-comes with theta from one prefix and one suffix product over reused
-buffers, float for float ``leave_one_out_products`` and
-``theta_of_layers``. The accumulated dual variable
+Each flow hands the driver two hooks that describe its parameterization
+and take no loss quantity: ``factors(y, p) -> theta`` writes the
+velocity's factors P into ``p`` and returns theta, so that the velocity
+``-p * grad L(theta)`` is written in place into the stepper's stage
+buffer, and ``jacobian(y)`` gives dtheta/dy and dP/dy for RODAS4. The
+layer flow takes all three from ``model``. The accumulated dual variable
 
     xi(t) = -integral_0^t grad L(theta(s)) ds
 
@@ -36,7 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import LayerStack, leave_one_out_products, theta_of_layers
+from .model import (LayerStack, leave_one_out_products, leave_two_out_products,
+                    product_factors, theta_of_layers)
 
 # Abort threshold on |theta|_inf: gradient flow on a quadratic cannot
 # diverge, so crossing this signals discretization failure.
@@ -155,30 +155,19 @@ class Trajectory:
             yield Trajectory(*(column[rows] for column in columns), optimum=self.optimum)
 
 
-def _layer_jacobian(y: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``(p, B)`` of ``layer_rhs``'s Jacobian in ``y`` (``_w_solver``'s form, ``q = p``).
-
-    ``p`` holds ``P_j``, the product of the layers other than j, and
-    ``B[i, j, k]`` is ``Q_jk g_i`` for j != k (0 on the diagonal), with
-    ``Q_jk`` the product of the layers other than j and k. Both are taken
-    without division, since a layer may hold exact zeros.
-    """
-    L, d = y.shape
-    others = np.broadcast_to(y, (L, L, L, d)).copy()
-    layer = np.arange(L)
-    others[layer, :, layer] = 1.0  # others[j, k] drops layers j and k
-    others[:, layer, layer] = 1.0
-    Qg = others.prod(axis=2) * g
-    Qg[layer, layer] = 0.0
-    return leave_one_out_products(y), Qg.transpose(2, 0, 1)
+def _layer_jacobian(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(dtheta/dy, dP/dy)`` of the layer flow at the layers ``y``: the
+    leave-one-out products ``(L, d)`` and the leave-two-out products as
+    ``(d, L, L)`` blocks, one per coordinate."""
+    return leave_one_out_products(y), leave_two_out_products(y).transpose(2, 0, 1)
 
 
-def _tied_jacobian(y: np.ndarray, g: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``(p, B)`` of the Jacobian of the tied velocity ``-L u^(L-1) g``
-    of the row ``y = [u]``: ``-D H D - diag(L(L-1) u^(L-2) g)`` with
-    ``D = diag(L u^(L-1))``, so ``q = p = [L u^(L-1)]`` and the blocks are 1 x 1."""
+def _tied_jacobian(y: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(dtheta/dy, dP/dy)`` of the tied flow at the row ``y = [u]``, with
+    ``theta = u^L`` and ``P = L u^(L-1)``: ``[L u^(L-1)]`` and the 1 x 1
+    blocks ``L (L-1) u^(L-2)``."""
     u = y[0]
-    return L * u[None, :] ** (L - 1), (L * (L - 1) * u ** (L - 2) * g)[:, None, None]
+    return L * u[None, :] ** (L - 1), (L * (L - 1) * u ** (L - 2))[:, None, None]
 
 
 def _w_solver(c: float, q: np.ndarray, p: np.ndarray, B: np.ndarray, H: np.ndarray):
@@ -206,28 +195,6 @@ def _w_solver(c: float, q: np.ndarray, p: np.ndarray, B: np.ndarray, H: np.ndarr
         return x - a_inv_q.T * (core @ (p * x).sum(axis=0))
 
     return solve
-
-
-def _layer_factors(L: int, dim: int):
-    """The layer flow's ``factors(y, p) -> theta`` hook, with its own buffers.
-
-    ``prefix[j]`` is the product of layers ``0..j-1`` (row 0 is 1) and
-    ``suffix[j]`` that of layers ``L-1`` down to ``j+1`` (row L-1 is 1), each
-    by one ``np.multiply.accumulate``, so ``p = prefix * suffix`` and theta
-    (``prefix[-1] * y[L-1]``, a fresh array) multiply the same factors in the
-    same order as ``leave_one_out_products`` and ``theta_of_layers``: every
-    float is theirs. It reads ``y[:L]`` and writes ``p[:L]``, not xi's row.
-    """
-    prefix, suffix = np.ones((L, dim)), np.ones((L, dim))
-    prefix_rows, suffix_rows, last = prefix[1:], suffix[-2::-1], prefix[-1]
-
-    def factors(y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        np.multiply.accumulate(y[:L - 1], axis=0, out=prefix_rows)
-        np.multiply.accumulate(y[L - 1:0:-1], axis=0, out=suffix_rows)
-        np.multiply(prefix, suffix, p[:L])
-        return last * y[L - 1]
-
-    return factors
 
 
 def layer_rhs(stack: LayerStack, loss) -> np.ndarray:
@@ -324,7 +291,8 @@ def integrate(stack0: LayerStack, loss, ctrl: StepController) -> Trajectory:
     Raises ``DivergenceError`` when the state leaves the finite region and,
     in adaptive mode, ``StepUnderflowError`` when no acceptable step exists.
     """
-    return _drive(stack0.layers, loss, ctrl, factors=_layer_factors(*stack0.layers.shape),
+    L, d = stack0.layers.shape
+    return _drive(stack0.layers, loss, ctrl, factors=product_factors(L, (d,)),
                   jacobian=_layer_jacobian)
 
 
@@ -349,7 +317,7 @@ def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepControl
         return y[:1].repeat(L, axis=0).prod(axis=0)
 
     traj = _drive(u0[None, :], loss, ctrl, factors=factors,
-                  jacobian=lambda y, g: _tied_jacobian(y, g, L), positive=True)
+                  jacobian=lambda y: _tied_jacobian(y, L), positive=True)
     return replace(traj, layers=np.repeat(traj.layers, L, axis=1))
 
 
@@ -486,8 +454,8 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False):
     """Integrate ``dy/dt = -p * grad L(theta)``, ``theta = factors(y, p)``, under ``ctrl``.
 
     The state ``y`` is ``y0`` with xi's row appended, from 0, and is recorded
-    as the layers ``y[:-1]`` and xi ``y[-1]``. The one flow hook,
-    ``factors(y, p)``, writes the velocity's factors at ``y0``'s rows into
+    as the layers ``y[:-1]`` and xi ``y[-1]``. The first flow hook,
+    ``factors(y, p)``, writes the velocity's factors P at ``y0``'s rows into
     the run's buffer ``p``, whose last row stays 1, and returns theta as a
     fresh array, which the loss may keep. ``rhs(y, out)`` writes the
     velocity at ``y`` into ``out``, a row of the stage buffer ``k``.
@@ -507,14 +475,21 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False):
     The switch rule: adaptive runs start on Dormand–Prince (q = 4). When
     the loss has ``hessian(theta)``, every accepted step is scored by
     ``_StiffnessTest``, and a run that it finds stiff goes on with RODAS4
-    (q = 3) for good. ``jacobian(y[:-1], g)`` gives the Jacobian of ``y0``'s
-    rows as ``(p, B)`` (``_w_solver``'s, ``q = p``). Xi's row of the Jacobian
-    is ``-H diag(p)``, so the buffers ``q``, ``right`` and ``B_xi`` take
-    ``[p; 1]``, ``[p; 0]`` and ``B`` with a zero row and column; with the
-    Hessian they are taken once per accepted state, and each attempt builds
-    one ``_w_solver`` from them. A run that never turns stiff keeps every
-    float of a Dormand–Prince run. The step floor binds only after a
-    rejected step. The snapshot rule is ``_Columns``'s.
+    (q = 3) for good. Its Jacobian, with H the loss's Hessian and g its
+    gradient, is ``_w_solver``'s form
+
+        J = -diag(P) (1 1^T kron H) diag(dtheta/dy) - (dP/dy) g,
+
+    from the second hook, ``jacobian(y[:-1]) -> (dtheta/dy, dP/dy)``: at
+    ``y0``'s m rows, an ``(m, d)`` array and one ``(m, m)`` block per
+    coordinate. Xi's row, on which nothing depends, is ``-H
+    diag(dtheta/dy)``, so the buffers ``q``, ``right`` and ``B_xi`` take
+    ``[P; 1]`` (from ``factors``), ``[dtheta/dy; 0]`` and the blocks times
+    g with a zero row and column. With the Hessian they are taken once per
+    accepted state, and each attempt builds one ``_w_solver`` from them. A
+    run that never turns stiff keeps every float of a Dormand–Prince run.
+    The step floor binds only after a rejected step. The snapshot rule is
+    ``_Columns``'s.
     """
     value_and_gradient = getattr(loss, "value_and_gradient", None)
     if value_and_gradient is None:
@@ -534,8 +509,9 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False):
     def rodas_step(y, h, k, rhs, evaluate):  # y is the accepted state, at theta and g
         nonlocal jac
         if jac is None:  # once per accepted state: a retry from y reuses it
-            q[:-1], B = jacobian(y[:-1], g)
-            right[:-1], B_xi[:, :-1, :-1] = q[:-1], B
+            factors(y, q)
+            right[:-1], curvature = jacobian(y[:-1])
+            np.multiply(curvature, g[:, None, None], B_xi[:, :-1, :-1])
             jac = (q, right, B_xi, hessian(theta))
         return _rodas_step(y, h, k, rhs, evaluate, jac)
 

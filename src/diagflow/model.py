@@ -5,6 +5,10 @@ The model is linear in the inputs with coefficient vector
 ``u^j`` is one trainable layer vector of the network. ``LayerStack`` holds
 the layers, ``QuadraticLoss`` the data-fitting objective.
 
+It is the one module that multiplies layers: theta, its first derivatives
+(the leave-one-out products, also as the flow's ``product_factors`` hook)
+and its second (the leave-two-out products).
+
 The flow uses a loss through a small protocol, so the quadratic instance
 can be replaced by any smooth objective that has
 
@@ -38,22 +42,52 @@ import numpy as np
 EIG_CUTOFF = 1e-12
 
 
-def leave_one_out_products(values: np.ndarray) -> np.ndarray:
-    """For each slice ``j`` along axis 0, the product of all other slices.
+def product_factors(num_layers: int, shape):
+    """The ``factors(v, out) -> theta`` hook over ``num_layers`` slices of ``shape``.
 
-    Computed without division, so exact zeros are handled: a prefix
-    ``np.multiply.accumulate`` (slices ``0, ..., j-1`` in that order) times a
-    suffix one (the last slice down to ``j+1``). The factors are multiplied
-    in the order of a sequential prefix/suffix loop, so every float equals
-    that loop's bit for bit. On ``(L, d)`` layers, slice ``j`` is
-    ``prod_{k != j} u^k``.
+    It writes the leave-one-out products of ``v[:L]`` into ``out[:L]`` and
+    returns theta as a fresh array, without division: ``prefix[j]``, the
+    product of slices ``0..j-1``, and ``suffix[j]``, that of slices ``L-1``
+    down to ``j+1``, are each one ``np.multiply.accumulate`` into a reused
+    buffer, ``out = prefix * suffix`` and theta is ``prefix[-1] * v[L-1]``:
+    every float is that of a sequential prefix/suffix loop.
     """
+    L = num_layers
+    prefix, suffix = np.ones((L, *shape)), np.ones((L, *shape))
+    prefix_rows, suffix_rows, last = prefix[1:], suffix[-2::-1], prefix[-1, ...]  # views
+
+    def factors(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply.accumulate(v[:L - 1], axis=0, out=prefix_rows)
+        np.multiply.accumulate(v[L - 1:0:-1], axis=0, out=suffix_rows)
+        np.multiply(prefix, suffix, out[:L])
+        return last * v[L - 1]
+
+    return factors
+
+
+def leave_one_out_products(values: np.ndarray) -> np.ndarray:
+    """For each slice ``j`` along axis 0, the float64 product of all other
+    slices (of layers: theta's derivative in ``u^j``), by ``product_factors``,
+    laid out in memory as ``values``, since the order of later sums depends on it."""
     v = np.asarray(values)
-    out = np.empty_like(v)
-    out[:1] = 1
-    np.multiply.accumulate(v[:-1], axis=0, out=out[1:])
-    out[:-1] *= np.multiply.accumulate(v[:0:-1], axis=0)[::-1]
+    out = np.empty_like(v, dtype=float)
+    product_factors(len(v), v.shape[1:])(v, out)
     return out
+
+
+def leave_two_out_products(layers: np.ndarray) -> np.ndarray:
+    """``(L, L, ...)`` products of the ``(L, ...)`` layers: entry ``[j, k]``
+    multiplies all but layers j and k, the second derivative of theta in
+    ``u^j`` and ``u^k``, and the diagonal is 0. Without division: layers j
+    and k of a broadcast copy are set to 1 and the rest multiplied in order."""
+    L = len(layers)
+    others = np.broadcast_to(layers, (L, L, *layers.shape)).copy()
+    layer = np.arange(L)
+    others[layer, :, layer] = 1.0  # others[j, k] drops layers j and k
+    others[:, layer, layer] = 1.0
+    products = others.prod(axis=2)
+    products[layer, layer] = 0.0
+    return products
 
 
 def mobility(layers: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .conservation import locate_min_layers
 from .flow import Trajectory
-from .model import InitScheme, init_layers, leave_one_out_products
+from .model import InitScheme, init_layers, leave_one_out_products, leave_two_out_products
 
 RANK_TOL = 1e-10
 
@@ -52,12 +52,7 @@ def coordinate_hessian(u: np.ndarray, i: int) -> np.ndarray:
     u = _checked(u, i)
     L, d = u.shape
     H = np.zeros((L * d, L * d))
-    for a in range(L):
-        for b in range(a + 1, L):
-            keep = [m for m in range(L) if m != a and m != b]
-            v = float(np.prod(u[keep, i]))
-            H[i * L + a, i * L + b] = v
-            H[i * L + b, i * L + a] = v
+    H[i * L:(i + 1) * L, i * L:(i + 1) * L] = leave_two_out_products(u)[:, :, i]
     return H
 
 

@@ -4,9 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from diagflow import (
     DivergenceError,
@@ -38,7 +35,6 @@ from diagflow.flow import (
     SNAPSHOT_BLOCK,
     _error_ratio,
     _guard,
-    _layer_factors,
     _layer_jacobian,
     _rodas_step,
     _StiffnessTest,
@@ -425,30 +421,6 @@ def test_fixed_tied_run_equals_plain_rk4_bit_for_bit(num_layers):
         assert np.array_equal(getattr(traj, name), column), name
 
 
-# signed zeros and infinities drawn often, so that products give -0.0 and
-# 0 * inf = NaN; magnitudes up to 1e80 overflow in products of up to 6 layers
-_node = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]), st.floats(-10.0, 10.0),
-                  st.floats(-1e80, 1e80))
-
-
-@given(st.integers(2, 6), st.integers(1, 4), st.data())
-def test_layer_factors_equal_theta_and_leave_one_out_products(num_layers, dim, data):
-    # one hook, one set of buffers: a non-finite stack, then a finite one,
-    # so that nothing the first call leaves in the buffers reaches the second
-    factors, p = _layer_factors(num_layers, dim), np.empty((num_layers, dim))
-    finite = st.floats(-10.0, 10.0)
-    stacks = [data.draw(arrays(float, (num_layers, dim), elements=_node)),
-              data.draw(arrays(float, (num_layers, dim), elements=finite))]
-    stacks[0][data.draw(st.integers(0, num_layers - 1)), data.draw(st.integers(0, dim - 1))] = np.inf
-    for y in stacks:
-        with np.errstate(over="ignore", invalid="ignore"):
-            theta = factors(y, p)
-            want = theta_of_layers(y), leave_one_out_products(y)
-        for got, expected in zip((theta, p), want):
-            assert np.array_equal(got, expected, equal_nan=True)
-            assert np.array_equal(np.signbit(got), np.signbit(expected))
-
-
 def test_fixed_run_holds_only_the_snapshots_it_returns():
     # 10,000 steps kept at 3,335 rows: recording every step before
     # decimating peaked at 4.7 times the returned arrays
@@ -604,18 +576,22 @@ def _check_factors(q, p, B, H, velocity, y):
 def _jacobian_case(flow, L):
     """A state ``y`` of the layer flow or of the tied flow, with its loss, its
     theta, its velocity factor P (the velocity is ``-P g``) and the factors
-    ``(p, B)`` of its Jacobian. One layer of the layer flow is an exact zero:
-    the hook's products of the other layers take no division."""
+    ``(p, B)`` of its Jacobian: the hook's ``dtheta/dy`` and its ``dP/dy``
+    times g. One layer of the layer flow is an exact zero: the hook's
+    products of the other layers take no division."""
     if flow == "layers":
         loss = make_problem(5, 3, 60 + L)
         y = init_layers(3, L, InitScheme("uniform", scale=1.5), seed=70 + L).layers.copy()
         y[L // 2] = 0.0
         theta_of, factor = (lambda y: np.prod(y, axis=0)), leave_one_out_products
-        return (loss, y, theta_of, factor, *_layer_jacobian(y, loss.gradient(theta_of(y))))
-    loss = make_problem(3, 6, 40, positive=True)
-    y = init_layers(6, 2, InitScheme("positive", scale=1.5), seed=50).layers[:1]
-    theta_of, factor = (lambda y: y[0] ** L), (lambda y: L * y ** (L - 1))
-    return (loss, y, theta_of, factor, *_tied_jacobian(y, loss.gradient(theta_of(y)), L))
+        dtheta, curvature = _layer_jacobian(y)
+    else:
+        loss = make_problem(3, 6, 40, positive=True)
+        y = init_layers(6, 2, InitScheme("positive", scale=1.5), seed=50).layers[:1]
+        theta_of, factor = (lambda y: y[0] ** L), (lambda y: L * y ** (L - 1))
+        dtheta, curvature = _tied_jacobian(y, L)
+    g = loss.gradient(theta_of(y))
+    return loss, y, theta_of, factor, dtheta, curvature * g[:, None, None]
 
 
 @pytest.mark.parametrize("num_layers", [2, 3, 4, 5])
@@ -689,7 +665,8 @@ def test_w_solver_never_forms_the_dense_matrix():
     y = init_layers(d, L, InitScheme("uniform"), seed=6).layers
     theta = np.prod(y, axis=0)
     H, g = loss.hessian(theta), loss.gradient(theta)
-    p, B = _layer_jacobian(y, g)
+    p, curvature = _layer_jacobian(y)
+    B = curvature * g[:, None, None]
     tracemalloc.start()
     try:
         _w_solver(4.0, p, p, B, H)(np.ones_like(y))

@@ -13,6 +13,7 @@ from diagflow import (
     mobility,
     theta_of_layers,
 )
+from diagflow.model import leave_two_out_products, product_factors
 
 
 def test_theta_direct_products():
@@ -103,6 +104,48 @@ def test_leave_one_out_equals_sequential_loop_bit_for_bit(batch, num_layers, dim
             want = _sequential_leave_one_out(v)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@given(st.integers(2, 6), st.integers(1, 4), st.data())
+def test_product_factors_equal_theta_and_leave_one_out_products(num_layers, dim, data):
+    # one hook, one set of buffers: a non-finite stack, then a finite one,
+    # so that nothing the first call leaves in the buffers reaches the second
+    factors, p = product_factors(num_layers, (dim,)), np.empty((num_layers, dim))
+    stacks = [data.draw(arrays(float, (num_layers, dim), elements=_any_node)),
+              data.draw(arrays(float, (num_layers, dim), elements=st.floats(-10.0, 10.0)))]
+    stacks[0][data.draw(st.integers(0, num_layers - 1)), data.draw(st.integers(0, dim - 1))] = np.inf
+    for y in stacks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = factors(y, p)
+            want = theta_of_layers(y), _sequential_leave_one_out(y)
+        for got, expected in zip((theta, p), want):
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def _pair_loop_leave_two_out(u):
+    # reference: coordinate_hessian's former pair loop, one coordinate at a time
+    L, d = u.shape
+    out = np.zeros((L, L, d))
+    for i in range(d):
+        for a in range(L):
+            for b in range(a + 1, L):
+                keep = [m for m in range(L) if m != a and m != b]
+                v = float(np.prod(u[keep, i]))
+                out[a, b, i] = v
+                out[b, a, i] = v
+    return out
+
+
+@given(st.integers(2, 7), st.integers(1, 4), st.data())
+def test_leave_two_out_equals_pair_loop_bit_for_bit(num_layers, dim, data):
+    u = data.draw(arrays(float, (num_layers, dim), elements=_any_node))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = leave_two_out_products(u)
+        want = _pair_loop_leave_two_out(u)
+    assert got.shape == (num_layers, num_layers, dim)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @given(st.integers(1, 4), st.integers(1, 10), st.integers(1, 4), st.data())

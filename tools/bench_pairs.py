@@ -9,9 +9,11 @@ directory. For every workload of the change's ``BENCHMARK.json``, pair
 ``i`` runs ``diagbench/run.py --trace 0 --size full`` once on each side
 with seed ``11 + i``; the parent goes first in even pairs and the change in
 odd ones. Run length is the benchmark's ``run_seconds`` on both sides.
-``--traced W`` adds one ``--trace 1`` run of workload ``W`` per side, seed
-11, for the per-layer figures. The report is written to ``BENCH_<pr>.json``
-in the working directory.
+``--traced W`` adds ``TRACED_RUNS`` ``--trace 1`` runs of workload ``W``
+per side, all with seed 11 and the side run first alternating, for the
+per-layer figures; each figure is reported with its runs and median, since
+one traced run per side has read 2x apart on identical code. The report is
+written to ``BENCH_<pr>.json`` in the working directory.
 
 Per end-to-end metric the output holds each side's runs, median and
 quartiles, the pairs the change won (ties count for neither), the median
@@ -32,6 +34,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 FIRST_SEED = 11
+TRACED_RUNS = 3
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -49,7 +52,9 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
 
 
 def quartiles(runs: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    # one run (--pairs 1) is its own quartiles; statistics.quantiles needs two
+    q1, median, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
+                      if len(runs) > 1 else runs * 3)
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
@@ -109,11 +114,18 @@ def main(argv=None) -> int:
 
     traced = {}
     for workload in args.traced:
-        traced[workload] = {}
-        for side in SIDES:
-            out = run_bench(checkouts[side], workload, FIRST_SEED, seconds, 1)
-            traced[workload][side] = {"failed": out["failed"], "attempted": out["attempted"],
-                                      **{k: v["value"] for k, v in out["metrics"].items()}}
+        runs = {side: [] for side in SIDES}
+        for i in range(TRACED_RUNS):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                out = run_bench(checkouts[side], workload, FIRST_SEED, seconds, 1)
+                runs[side].append({"failed": out["failed"], "attempted": out["attempted"],
+                                   **{k: v["value"] for k, v in out["metrics"].items()}})
+                print(f"{workload} traced run {i + 1}/{TRACED_RUNS} {side}", file=sys.stderr)
+        traced[workload] = {
+            side: {name: {"median": statistics.median(r[name] for r in rs),
+                          "runs": [r[name] for r in rs]}
+                   for name in rs[0]}
+            for side, rs in runs.items()}
 
     report = {
         "command": f"python3 diagbench/run.py --workload W --seed N --seconds {seconds:g} "
@@ -124,7 +136,8 @@ def main(argv=None) -> int:
         "workloads": result,
     }
     if traced:
-        report["traced"] = {"seed": FIRST_SEED, "workloads": traced}
+        report["traced"] = {"seed": FIRST_SEED, "runs_per_side": TRACED_RUNS,
+                            "workloads": traced}
     output.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {output}", file=sys.stderr)
     return 0
