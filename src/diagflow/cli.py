@@ -17,7 +17,13 @@ included, is a usage error.
 
 Every command builds all of its checks, the diagnostics included, before
 ``main`` writes ``--output`` and then ``--diagnostics``: a run that stops on
-an error before that writes neither file.
+an error before that writes neither file. ``simulate --output`` alone
+formats its CSV while the flow runs, in a forked writer process
+(``report.TrajectoryCsvProcess``) that fills a temporary file; ``main``'s
+write step waits for the writer and only then copies that file to
+``--output``, and a run that fails before that step kills and reaps the
+writer and leaves no file. No ``main`` call leaves a process behind, and
+without ``--output`` none is started.
 
 Exit codes: 0 when every check passes, 1 on a check or numerical failure
 or an unwritable output file, 2 on usage errors (an unreadable config or
@@ -27,6 +33,7 @@ init file and out-of-range values included).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -37,7 +44,7 @@ from .experiments import (FLOW_LIMIT_GAP, ExperimentConfig, NewtonError, run_bia
                           run_convergence, run_crossings)
 from .flow import DivergenceError, StepController, StepUnderflowError, integrate
 from .model import InitScheme
-from .report import build_diagnostics, write_trajectory_csv
+from .report import TrajectoryCsvProcess, build_diagnostics
 
 # Pass/fail thresholds for the summary checks, valid at the default
 # integrator settings.
@@ -166,15 +173,23 @@ def _print_table(rows: list[tuple[str, str, bool | None]]) -> bool:
 
 # A command returns (write, diag, rows): the writer of its --output CSV, its
 # diagnostics (None unless asked for or read by the table) and its table rows;
-# paramcheck has neither file. It writes nothing; main does, once all are built.
+# paramcheck has neither file. It writes no file; main does, once all are built.
 
 
-def _cmd_simulate(cfg: ExperimentConfig, want_diag: bool):
+def _cmd_simulate(cfg: ExperimentConfig, want_diag: bool, stream: bool):
+    """With ``stream``, a forked process formats the CSV while the flow runs;
+    ``write`` waits for it, and a failure here kills it."""
     loss, stack0 = cfg.problem()
     idx = locate_min_layers(stack0)
     ctrl = StepController(mode="fixed", h=cfg.step, t_max=cfg.t_max)
-    traj = integrate(stack0, loss, ctrl)
-    diag = build_diagnostics(traj, idx=idx)  # the table reads it, asked for or not
+    writer = TrajectoryCsvProcess(stack0.dim, stack0.num_layers) if stream else None
+    try:
+        traj = integrate(stack0, loss, ctrl, on_row=writer and writer.add)
+        diag = build_diagnostics(traj, idx=idx)  # the table reads it, asked for or not
+    except BaseException:
+        if writer:
+            writer.abort()
+        raise
 
     defect = diag.value("conservation", "max_defect")
     rows = [
@@ -193,7 +208,7 @@ def _cmd_simulate(cfg: ExperimentConfig, want_diag: bool):
         pass
     on_manifold = bool(diag.value("manifold", "all_snapshots_on_manifold"))
     rows.append(("snapshots on manifold", str(on_manifold), on_manifold))
-    return lambda path: write_trajectory_csv(traj, path, include_layers=True), diag, rows
+    return writer and writer.finish, diag, rows
 
 
 def _cmd_crossings(cfg: ExperimentConfig, want_diag: bool):
@@ -257,7 +272,8 @@ def _cmd_paramcheck(cfg: ExperimentConfig, want_diag: bool):
 
 def main(argv=None) -> int:
     command, cfg, output, diagnostics = _parse(build_parser(), argv)
-    run = {"simulate": _cmd_simulate, "crossings": _cmd_crossings, "bias": _cmd_bias,
+    run = {"simulate": functools.partial(_cmd_simulate, stream=bool(output)),
+           "crossings": _cmd_crossings, "bias": _cmd_bias,
            "convergence": _cmd_convergence, "paramcheck": _cmd_paramcheck}[command]
     try:
         write, diag, rows = run(cfg, diagnostics is not None)

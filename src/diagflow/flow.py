@@ -236,10 +236,16 @@ class _Columns:
     double as they fill, and ``kept`` thins them at the end. On the rows of
     a counted grid that thinning is the identity, so both paths keep the
     same rows.
+
+    ``on_row``, when given, sees each kept row exactly once, in order, as
+    the tuple ``(t, layers, theta, xi, loss, gradient)`` of views it must
+    not keep: on a counted grid as the row is written, otherwise from
+    ``kept`` at the end. A run that raises has delivered no row past its
+    last accepted one.
     """
 
-    def __init__(self, row: tuple, ctrl: StepController):
-        self.max_points = ctrl.max_points
+    def __init__(self, row: tuple, ctrl: StepController, on_row=None):
+        self.max_points, self.on_row = ctrl.max_points, on_row
         self.stride, self.last, capacity = 1, None, 256
         if ctrl.mode == "fixed" and ctrl.stop_gap is None:
             t, h, steps = 0.0, ctrl.h, 0
@@ -268,32 +274,39 @@ class _Columns:
         for column, v in zip(self.arrays, row):
             column[self.count] = v
         self.count += 1
+        if self.on_row is not None and self.last is not None:
+            self.on_row(row)
 
     def kept(self) -> list[np.ndarray]:
         """The columns at the kept rows, thinned by the rule."""
         k = self.count
         stride = self._stride(k)
         if stride == 1 and k == len(self.arrays[0]):
-            return self.arrays
-        rows = np.arange(0, k, stride)
-        if (k - 1) % stride:
-            rows = np.append(rows, k - 1)
-        return [self.arrays.pop(0)[rows] for _ in range(len(self.arrays))]
+            columns = self.arrays
+        else:
+            rows = np.arange(0, k, stride)
+            if (k - 1) % stride:
+                rows = np.append(rows, k - 1)
+            columns = [self.arrays.pop(0)[rows] for _ in range(len(self.arrays))]
+        if self.on_row is not None and self.last is None:
+            for row in zip(*columns):
+                self.on_row(row)
+        return columns
 
 
-def integrate(stack0: LayerStack, loss, ctrl: StepController) -> Trajectory:
+def integrate(stack0: LayerStack, loss, ctrl: StepController, on_row=None) -> Trajectory:
     """Run gradient flow on the layers from ``stack0`` until ``ctrl.t_max``.
 
     Snapshots follow the snapshot rule of ``_Columns``; xi is integrated
-    as one more state row, by the stepper's own weights. Deterministic
-    given its inputs.
+    as one more state row, by the stepper's own weights. ``on_row`` is
+    ``_Columns``'s row callback. Deterministic given its inputs.
 
     Raises ``DivergenceError`` when the state leaves the finite region and,
     in adaptive mode, ``StepUnderflowError`` when no acceptable step exists.
     """
     L, d = stack0.layers.shape
     return _drive(stack0.layers, loss, ctrl, factors=product_factors(L, (d,)),
-                  jacobian=_layer_jacobian)
+                  jacobian=_layer_jacobian, on_row=on_row)
 
 
 def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepController) -> Trajectory:
@@ -450,7 +463,7 @@ def _rodas_step(y, h, k, rhs, evaluate, jacobian):
     return y_new, _error_ratio(flat[5], y, y_new), state
 
 
-def _drive(y0, loss, ctrl, factors, jacobian, positive=False):
+def _drive(y0, loss, ctrl, factors, jacobian, positive=False, on_row=None):
     """Integrate ``dy/dt = -p * grad L(theta)``, ``theta = factors(y, p)``, under ``ctrl``.
 
     The state ``y`` is ``y0`` with xi's row appended, from 0, and is recorded
@@ -488,8 +501,8 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False):
     g with a zero row and column. With the Hessian they are taken once per
     accepted state, and each attempt builds one ``_w_solver`` from them. A
     run that never turns stiff keeps every float of a Dormand–Prince run.
-    The step floor binds only after a rejected step. The snapshot rule is
-    ``_Columns``'s.
+    The step floor binds only after a rejected step. The snapshot rule, and
+    ``on_row``, are ``_Columns``'s.
     """
     value_and_gradient = getattr(loss, "value_and_gradient", None)
     if value_and_gradient is None:
@@ -526,7 +539,7 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         theta, val, g = evaluate(y)
         k[0] = k[-1]
-        columns = _Columns((t, y[:-1], theta, y[-1], val, g), ctrl)
+        columns = _Columns((t, y[:-1], theta, y[-1], val, g), ctrl, on_row)
         while (h := _next_step(t, h, ctrl.t_max)) is not None:
             y_new, ratio, state = step(y, h, k, rhs, evaluate)
             if ratio <= 1.0:

@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_FLOAT64 = np.dtype(np.float64)
+
 # Relative eigenvalue cutoff separating zero modes: of X^T X for the
 # least-squares optimum cached on QuadraticLoss, and of X X^T for the
 # gradient-dominance constant.
@@ -144,8 +146,11 @@ class QuadraticLoss:
     construction from the normal equations with eigenvalue cutoff
     ``EIG_CUTOFF`` (relative). ``least_squares_solution`` is the associated
     minimum-norm minimizer, which for an underdetermined full-row-rank
-    system is the minimum-L2 interpolator. The constant Hessian ``2 X^T X``
-    is built, read-only, at the first ``hessian`` call.
+    system is the minimum-L2 interpolator. The gradient's ``2 X^T`` is kept
+    as a transposed view of ``2 X``, the layout of ``X.T``, so that BLAS
+    sums in the same order and every gradient is the float ``2 (X^T r)``.
+    The constant Hessian ``2 X^T X`` is built, read-only, at the first
+    ``hessian`` call.
     """
 
     X: np.ndarray
@@ -166,6 +171,10 @@ class QuadraticLoss:
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        two_xt = (2.0 * X).T
+        two_xt.setflags(write=False)
+        object.__setattr__(self, "_two_xt", two_xt)
+        object.__setattr__(self, "_theta_shape", (X.shape[1],))
 
         gram = X.T @ X
         w, V = np.linalg.eigh(gram)
@@ -188,8 +197,11 @@ class QuadraticLoss:
         return self.X.shape[1]
 
     def _check(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
+        """``theta`` as a float64 array of shape ``(d,)``; a float64 array is
+        passed on as it is, after one shape comparison."""
+        if type(theta) is not np.ndarray or theta.dtype is not _FLOAT64:
+            theta = np.asarray(theta, dtype=float)
+        if theta.shape != self._theta_shape:
             raise ValueError(
                 f"theta has shape {theta.shape}, expected ({self.dim},)"
             )
@@ -200,11 +212,11 @@ class QuadraticLoss:
         return float(r @ r)
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.X.T @ (self.X @ self._check(theta) - self.y))
+        return self._two_xt @ (self.X @ self._check(theta) - self.y)
 
     def value_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         r = self.X @ self._check(theta) - self.y
-        return float(r @ r), 2.0 * (self.X.T @ r)
+        return float(r @ r), self._two_xt @ r
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """``2 X^T X``, the same read-only array at every ``theta``."""

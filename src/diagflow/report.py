@@ -3,17 +3,34 @@
 The diagnostics file is a single flat CSV with columns
 ``section,metric,value``. Every CSV of the package, trajectories included,
 goes through ``write_rows_csv``, which prints numbers with ``%.17g`` so
-repeated runs are byte-identical.
+repeated runs are byte-identical. A trajectory CSV is written either at
+once from a ``Trajectory`` (``write_trajectory_csv``) or, while the flow
+runs, by a forked ``TrajectoryCsvProcess``; both lay out its columns and
+rows by ``_trajectory_header`` and ``_trajectory_rows`` and give the same
+bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import shutil
+import signal
+import tempfile
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import conservation as cons
 from . import mirror as mir
 from . import paramcheck as pc
 from .flow import Trajectory
+
+# Pipe capacity asked for a ``TrajectoryCsvProcess``: ~290 rows at L=5,
+# d=64, so that the flow does not wait on the writer's jitter, nor the
+# writer on the flow's (the default 64 KiB holds 18).
+_PIPE_BYTES = 1 << 20
+_NOT_AN_OS_ERROR = 255  # the writer's exit status for any other failure
 
 
 def write_rows_csv(path, header, rows) -> None:
@@ -30,17 +47,124 @@ def write_rows_csv(path, header, rows) -> None:
             fh.write(line % tuple(row))
 
 
+def _trajectory_header(dim: int, num_layers: int) -> list[str]:
+    """``t,loss,theta_1..theta_d,xi_1..xi_d``, then ``u_j_i`` for ``num_layers`` layers."""
+    coords = range(1, dim + 1)
+    return ["t", "loss", *(f"theta_{i}" for i in coords), *(f"xi_{i}" for i in coords),
+            *(f"u_{j}_{i}" for j in range(1, num_layers + 1) for i in coords)]
+
+
+def _trajectory_rows(t, loss, theta, xi, layers) -> np.ndarray:
+    """The float64 CSV rows ``[t, loss, theta, xi, layers]`` of one snapshot
+    (scalar ``t``) or of a block of them (``t`` of shape ``(k,)``)."""
+    t = np.asarray(t)
+    return np.concatenate([t[..., None], np.asarray(loss)[..., None], theta, xi,
+                           layers.reshape(*t.shape, -1)], axis=-1)
+
+
 def write_trajectory_csv(traj: Trajectory, path, include_layers: bool = False) -> None:
     """Write ``t,loss,theta_1..theta_d,xi_1..xi_d[,u_j_i...]`` as UTF-8 CSV."""
-    coords = range(1, traj.dim + 1)
-    cols = ["t", "loss", *(f"theta_{i}" for i in coords), *(f"xi_{i}" for i in coords)]
-    layers = traj.layers.reshape(len(traj), -1)
-    if include_layers:
-        cols += [f"u_{j}_{i}" for j in range(1, traj.num_layers + 1) for i in coords]
-    else:
-        layers = layers[:, :0]
-    rows = zip(traj.times, traj.losses, traj.thetas, traj.xi, layers)
-    write_rows_csv(path, cols, ((t, v, *th, *x, *u) for t, v, th, x, u in rows))
+    L = traj.num_layers if include_layers else 0
+    rows = (row for b in traj.blocks()
+            for row in _trajectory_rows(b.times, b.losses, b.thetas, b.xi,
+                                        b.layers[:, :L]).tolist())
+    write_rows_csv(path, _trajectory_header(traj.dim, L), rows)
+
+
+class TrajectoryCsvProcess:
+    """A forked child that writes a trajectory CSV, layers included, while the flow runs.
+
+    The constructor forks the child. ``add`` is ``integrate``'s ``on_row``:
+    it packs each kept row by ``_trajectory_rows`` as float64 bytes into a
+    pipe. The child reads them back as fixed-size records and formats them
+    by ``write_rows_csv`` into a temporary file, so the CSV's bytes are
+    ``write_trajectory_csv``'s; it calls no BLAS and leaves by ``os._exit``,
+    with status 0 or the errno of a failed write. ``finish(path)`` waits for
+    the child and then copies the file to ``path``; ``abort`` kills and
+    reaps it. Either of the two removes the temporary file, and one of them
+    must be called.
+    """
+
+    def __init__(self, dim: int, num_layers: int):
+        header = _trajectory_header(dim, num_layers)
+        self._pid = self._pipe = None
+        fd, self._tmp = tempfile.mkstemp(suffix=".csv")
+        os.close(fd)
+        try:
+            read, self._pipe = os.pipe()
+            # F_SETPIPE_SZ is Linux's, and the system may refuse the size
+            with contextlib.suppress(ImportError, AttributeError, OSError):
+                import fcntl
+                fcntl.fcntl(self._pipe, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            try:
+                self._pid = os.fork()
+                if self._pid == 0:
+                    _format_records(read, self._pipe, self._tmp, header)  # does not return
+            finally:
+                os.close(read)
+        except BaseException:
+            self.abort()
+            raise
+
+    def add(self, row: tuple) -> None:
+        t, layers, theta, xi, loss, _ = row
+        data = memoryview(_trajectory_rows(t, loss, theta, xi, layers)).cast("B")
+        try:
+            while data:
+                data = data[os.write(self._pipe, data):]
+        except BrokenPipeError:
+            self._wait()  # raises the child's own error
+            raise
+
+    def finish(self, path) -> None:
+        try:
+            pipe, self._pipe = self._pipe, None
+            os.close(pipe)
+            self._wait()
+            shutil.copyfile(self._tmp, path)
+        finally:
+            self.abort()
+
+    def abort(self) -> None:
+        if self._pid:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._pipe is not None:
+            os.close(self._pipe)
+            self._pipe = None
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self._tmp)
+
+    def _wait(self) -> None:
+        """Reap the child; raise its failure as an ``OSError``."""
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if 0 < code < _NOT_AN_OS_ERROR:
+            raise OSError(code, os.strerror(code), self._tmp)
+        if code:
+            raise OSError(f"the trajectory CSV writer process failed (exit status {code})")
+
+
+def _format_records(read: int, write: int, path: str, header: list[str]) -> None:
+    """The writer child: format the records of the pipe ``read`` into ``path``, then exit.
+
+    It first closes the pipe's end ``write``, the parent's. The exit status
+    is 0, the errno of an ``OSError``, or ``_NOT_AN_OS_ERROR``.
+    """
+    status = _NOT_AN_OS_ERROR
+    try:
+        os.close(write)
+        size = 8 * len(header)
+        with open(read, "rb") as pipe:
+            records = iter(lambda: pipe.read(size), b"")
+            write_rows_csv(path, header, (np.frombuffer(r).tolist() for r in records))
+        status = 0
+    except OSError as exc:
+        status = exc.errno or _NOT_AN_OS_ERROR
+    finally:
+        os._exit(status)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,12 @@
+import errno
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
 
+from diagflow import ExperimentConfig, StepController, integrate, report, write_trajectory_csv
 from diagflow.cli import main
 
 
@@ -29,11 +33,64 @@ def test_simulate_passes_and_is_deterministic(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+@pytest.fixture
+def temp_dir(tmp_path, monkeypatch):
+    """A fresh directory for the files of the ``tempfile`` module."""
+    path = tmp_path / "temp"
+    path.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(path))
+    return path
+
+
+def test_simulate_output_is_the_trajectory_csv_of_its_flow(tmp_path, temp_dir, capsys):
+    # 6,001 steps kept at 3,001 rows, formatted by the writer process while
+    # the flow runs: the bytes write_trajectory_csv gives for the same flow
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    assert main(["simulate", "--tmax", "6", "--output", str(out)]) == 0
+    loss, stack0 = ExperimentConfig(layers=3, n=8, t_max=6.0).problem()
+    traj = integrate(stack0, loss, StepController(h=1e-3, t_max=6.0))
+    write_trajectory_csv(traj, ref, include_layers=True)
+    assert len(traj) == 3001
+    assert out.read_bytes() == ref.read_bytes()
+    assert not any(temp_dir.iterdir())
+
+
+@pytest.mark.parametrize("reads_all_rows", [True, False],
+                         ids=["when_waited_for", "while_the_flow_runs"])
+def test_a_failed_writer_process_is_an_error_and_writes_no_file(tmp_path, temp_dir, monkeypatch,
+                                                              capsys, reads_all_rows):
+    # the forked writer inherits the patched write_rows_csv, and its errno
+    # comes back as the parent's error: when main waits for it, or when the
+    # flow meets the pipe it closed
+    def disk_full(path, header, rows):
+        if reads_all_rows:
+            for _ in rows:
+                pass
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(report, "write_rows_csv", disk_full)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--tmax", "10", "--output", str(out)]) == 1
+    assert "[Errno 28] No space left on device" in capsys.readouterr().err
+    assert not out.exists()
+    assert not any(temp_dir.iterdir())
+
+
 def test_simulate_divergence_exits_one(tmp_path, capsys):
     code = main(["simulate", "--layers", "2", "--dim", "2", "--samples", "3",
                  "--step", "1000", "--tmax", "100000"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_divergence_writes_no_file(tmp_path, temp_dir, capsys):
+    out, diag = tmp_path / "o.csv", tmp_path / "d.csv"
+    code = main(["simulate", "--layers", "2", "--dim", "2", "--samples", "3", "--step", "0.8",
+                 "--tmax", "1000", "--output", str(out), "--diagnostics", str(diag)])
+    assert code == 1
+    assert "reduce the step size" in capsys.readouterr().err
+    assert not out.exists() and not diag.exists()
+    assert not any(temp_dir.iterdir())
 
 
 def test_simulate_shorter_than_three_snapshots(tmp_path, capsys):
@@ -61,7 +118,7 @@ def test_vanishing_mobility_is_an_error_not_a_traceback(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("command", ["simulate", "crossings", "convergence"])
-def test_failed_run_writes_no_file(tmp_path, monkeypatch, capsys, command):
+def test_failed_run_writes_no_file(tmp_path, temp_dir, monkeypatch, capsys, command):
     # two zero nodes in a coordinate: the diagnostics of simulate and
     # crossings fail, convergence's sigma bound raises TiedMinimumError; a
     # failed run writes neither file
@@ -75,6 +132,7 @@ def test_failed_run_writes_no_file(tmp_path, monkeypatch, capsys, command):
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "o.csv").exists()
     assert not (tmp_path / "d.csv").exists()
+    assert not any(temp_dir.iterdir())
 
 
 def test_crossings_writes_node_columns(tmp_path, capsys):
@@ -232,7 +290,7 @@ def test_out_of_range_value_is_a_usage_error(tmp_path, monkeypatch, capsys, flag
 
 
 @pytest.mark.parametrize("flag", ["--output", "--diagnostics"])
-def test_unwritable_output_exits_one(tmp_path, capsys, flag):
+def test_unwritable_output_exits_one(tmp_path, temp_dir, capsys, flag):
     target = tmp_path / "no_such_dir" / "out.csv"
     code = main(["simulate", "--layers", "2", "--dim", "2", "--samples", "3",
                  "--tmax", "0.1", flag, str(target)])
@@ -240,6 +298,7 @@ def test_unwritable_output_exits_one(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "no_such_dir" in err
+    assert not any(temp_dir.iterdir())
 
 
 def test_config_value_is_checked_like_the_flag(tmp_path, capsys):

@@ -361,6 +361,73 @@ def test_kept_rows_are_the_undecimated_rows_at_the_decimation_indices(ctrl, full
     assert kept.optimum == full.optimum
 
 
+def _collect_rows(rows):
+    """An ``on_row`` callback that appends a copy of each row it sees to ``rows``."""
+    return lambda row: rows.append(tuple(np.array(v, dtype=float) for v in row))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# (t, layers, theta, xi, loss, gradient): the order of a row given to ``on_row``
+_ROW_FIELDS = ("times", "layers", "thetas", "xi", "losses", "grads")
+
+
+@pytest.mark.parametrize("ctrl, stack0", [
+    (StepController(h=1e-2, t_max=1.0, max_points=2), None),
+    (StepController(h=1e-2, t_max=1.0, max_points=3), None),
+    (StepController(h=1e-2, t_max=1.0, max_points=7), None),
+    (StepController(h=1e-3, t_max=6.0), None),                  # 6,001 rows, 3,001 kept
+    (StepController(h=0.03, t_max=1.0, max_points=5), None),     # T is not a multiple of h
+    (StepController(h=1e-2, t_max=50.0, max_points=9, stop_gap=1e-3), None),
+    (StepController(mode="adaptive", t_max=5.0, max_points=11), None),
+    (StepController(mode="adaptive", t_max=500.0, max_points=50),
+     init_layers(4, 4, InitScheme("uniform", scale=0.3), seed=1)),  # switches to RODAS4
+], ids=["m2", "m3", "m7", "m5000_6001_rows", "ragged_T", "stop_gap", "adaptive", "rodas4"])
+def test_row_callback_sees_each_returned_row_once_in_order(ctrl, stack0):
+    loss = make_problem(5, 3, 16) if stack0 is None else make_problem(6, 4, 0)
+    stack0 = init_layers(3, 3, InitScheme("uniform"), seed=17) if stack0 is None else stack0
+    rows = []
+    traj = integrate(stack0, loss, ctrl, on_row=_collect_rows(rows))
+    assert len(rows) == len(traj)
+    for name, column in zip(_ROW_FIELDS, zip(*rows)):
+        assert _same_bits(column, getattr(traj, name)), name
+
+
+class _PoisonedLoss:
+    """A loss whose gradient turns NaN from its ``calls``-th evaluation on."""
+
+    def __init__(self, loss, calls):
+        self._loss, self.left = loss, calls
+
+    def gradient(self, theta):
+        self.left -= 1
+        g = self._loss.gradient(theta)
+        return g if self.left > 0 else np.full_like(g, np.nan)
+
+    def value(self, theta):
+        return self._loss.value(theta)
+
+
+@pytest.mark.parametrize("max_points", [10**6, 7])
+def test_a_diverging_run_delivers_no_row_past_its_last_accepted_one(max_points):
+    # on a counted grid rows go out as they are written, so the rows before
+    # the divergence are out when it raises, and nothing after them
+    loss = make_problem(5, 3, 16)
+    stack0 = init_layers(3, 3, InitScheme("uniform"), seed=17)
+    ctrl = StepController(h=1e-2, t_max=1.0, max_points=max_points)
+    rows = []
+    with pytest.raises(DivergenceError) as err:
+        integrate(stack0, _PoisonedLoss(loss, 250), ctrl, on_row=_collect_rows(rows))
+    clean = integrate(stack0, loss, ctrl)
+    kept = clean.times < err.value.time
+    assert 0.5 < err.value.time < 0.7 and 2 <= len(rows) == kept.sum()
+    for name, column in zip(_ROW_FIELDS, zip(*rows)):
+        assert _same_bits(column, getattr(clean, name)[kept]), name
+
+
 def _reference_rk4(y0, loss, ctrl, theta_of, velocity):
     """Fixed-step RK4 written out with allocating stages, xi carried as the
     state's last row with velocity ``-g``, every row recorded, then kept by
@@ -847,6 +914,23 @@ def test_csv_export_roundtrip(tmp_path):
     other = tmp_path / "traj2.csv"
     write_trajectory_csv(traj, other, include_layers=True)
     assert path.read_bytes() == other.read_bytes()
+
+
+@pytest.mark.parametrize("include_layers", [True, False])
+def test_csv_rows_are_the_snapshots_in_17_digits(tmp_path, include_layers):
+    # signed zeros and non-finite values print as %.17g prints them
+    loss = make_problem(5, 3, 18)
+    traj = integrate(init_layers(3, 2, InitScheme("zero_first"), seed=19), loss,
+                     StepController(t_max=0.6, max_points=10**6))
+    traj.thetas[1, 0], traj.xi[2, 1], traj.losses[3] = -0.0, np.inf, np.nan
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path, include_layers=include_layers)
+    layers = traj.layers.reshape(len(traj), -1) if include_layers else np.empty((len(traj), 0))
+    rows = zip(traj.times, traj.losses, traj.thetas, traj.xi, layers)
+    want = ["%.17g" % v for t, value, th, x, u in rows for v in (t, value, *th, *x, *u)]
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(lines) == len(traj) > SNAPSHOT_BLOCK
+    assert [cell for line in lines for cell in line.split(",")] == want
 
 
 def test_redundant_flow_basics():

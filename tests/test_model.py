@@ -232,6 +232,30 @@ def test_loss_dimension_mismatch():
         loss.gradient(np.zeros(2))
     with pytest.raises(ValueError):
         QuadraticLoss(np.eye(3), np.zeros(4))
+    # float64 arrays, other dtypes and lists get the same message
+    for theta in (np.zeros((1, 3)), np.zeros(4, dtype=int), [0.0, 1.0], np.zeros(3)[::2]):
+        for call in (loss.value, loss.gradient, loss.value_and_gradient, loss.hessian):
+            with pytest.raises(ValueError, match=r"theta has shape \(.*\), expected \(3,\)"):
+                call(theta)
+    # a float64 view passes as it is, other input is converted
+    assert np.array_equal(loss.gradient(np.arange(6.0)[::2]), [0.0, 4.0, 8.0])
+    assert np.array_equal(loss.gradient([0, 1, 2]), [0.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("n, d", [(5, 3), (4, 7), (8, 6), (6, 3), (48, 64), (1, 1)])
+def test_gradient_is_twice_the_transposed_product_bit_for_bit(n, d):
+    # 2 X^T is kept as a transposed view of 2 X, the layout of X.T, so BLAS
+    # sums in X.T's order and scaling by 2 is exact
+    rng = np.random.default_rng(n * 100 + d)
+    X, y = rng.uniform(-1, 1, (n, d)), rng.uniform(-1, 1, n)
+    loss = QuadraticLoss(X, y)
+    for theta in rng.uniform(-2, 2, (20, d)):
+        r = X @ theta - y
+        want = 2.0 * (X.T @ r)
+        value, g = loss.value_and_gradient(theta)
+        assert value == float(r @ r)
+        assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(loss.gradient(theta).view(np.uint64), want.view(np.uint64))
 
 
 def test_init_explicit_passthrough():
