@@ -22,8 +22,11 @@ formats its CSV while the flow runs, in a forked writer process
 (``report.TrajectoryCsvProcess``) that fills a temporary file; ``main``'s
 write step waits for the writer and only then copies that file to
 ``--output``, and a run that fails before that step kills and reaps the
-writer and leaves no file. No ``main`` call leaves a process behind, and
-without ``--output`` none is started.
+writer and leaves no file. ``bias`` runs its scales in forked workers,
+one per usable CPU (``experiments._map``), and reaps them before it builds
+its table; it writes the same bytes on any number of CPUs. No ``main`` call
+leaves a process behind; ``simulate`` without ``--output`` and every other
+command start none.
 
 Exit codes: 0 when every check passes, 1 on a check or numerical failure
 or an unwritable output file, 2 on usage errors (an unreadable config or

@@ -69,6 +69,9 @@ class DivergenceError(RuntimeError):
         self.time, self.h, self.max_abs_theta = t, h, max_abs_theta
         super().__init__(message or f"integration diverged at t={t:.6g}; reduce the step size")
 
+    def __reduce__(self):  # pickle rebuilds an exception from its constructor's arguments
+        return type(self), (self.time, self.h, self.max_abs_theta, str(self))
+
 
 class StepUnderflowError(RuntimeError):
     """Adaptive controller drove the step ``h`` below the floor at ``time``."""
@@ -76,6 +79,9 @@ class StepUnderflowError(RuntimeError):
     def __init__(self, t: float, h: float):
         self.time, self.h = t, h
         super().__init__(f"adaptive step size underflow at t={t:.6g} (h={h:.3g})")
+
+    def __reduce__(self):
+        return type(self), (self.time, self.h)
 
 
 @dataclass(frozen=True)

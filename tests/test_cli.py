@@ -167,6 +167,17 @@ def test_bias_run(tmp_path, capsys):
     assert len(lines) == 4  # default three-scale sweep
 
 
+def test_bias_writes_the_same_bytes_on_one_cpu_and_on_two(tmp_path, capsys, monkeypatch):
+    # criterion 11 across CPU counts: on two, a forked worker computes alpha=0.1
+    outputs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out, diag = tmp_path / f"bias{len(cpus)}.csv", tmp_path / f"diag{len(cpus)}.csv"
+        assert main(["bias", "--output", str(out), "--diagnostics", str(diag)]) == 0
+        outputs.append((out.read_bytes(), diag.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("flags, code, status", [([], 0, "pass"), (["--tmax", "0.001"], 1, "FAIL")],
                          ids=["defaults", "stopped_at_tmax"])
 def test_bias_checks_that_each_flow_reached_its_limit(capsys, flags, code, status):

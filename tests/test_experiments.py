@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
+import pickle
+import signal
 import time
 
 import numpy as np
 import pytest
 
 from diagflow import (
+    DivergenceError,
     ExperimentConfig,
     HyperbolicEntropy,
     NewtonError,
@@ -28,10 +32,11 @@ from diagflow import (
     run_crossings,
     sigma_lower_bound,
     solve_kkt,
+    StepUnderflowError,
     time_to_gap,
     Trajectory,
 )
-from diagflow.experiments import FLOW_LIMIT_GAP, GAP_TARGET
+from diagflow.experiments import FLOW_LIMIT_GAP, GAP_TARGET, _map
 
 
 def test_pl_constant_identity_design():
@@ -484,3 +489,185 @@ def test_experiment_config_validation():
                 dict(scale=np.nan), dict(layers=2, dim=2, values=[[1.0, np.nan], [1.0, 1.0]])):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("error, attributes", [
+    (DivergenceError(2.5, 0.125, 7.0), ("time", "h", "max_abs_theta")),
+    (DivergenceError(2.5, 0.125, math.nan, "non-finite state at t=2.5"),
+     ("time", "h", "max_abs_theta")),
+    (StepUnderflowError(3.0, 1e-20), ("time", "h")),
+    (NewtonError("backtracking stalled", 1.054e-9), ("reason", "residual")),
+], ids=["divergence", "divergence_nan", "underflow", "newton"])
+def test_errors_survive_a_pickle_round_trip(error, attributes):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    for name in attributes:
+        assert repr(getattr(copy, name)) == repr(getattr(error, name)), name
+
+
+def _assert_identical(a, b, where="result"):
+    """The same floats, bit for bit, in every array and float of two result objects."""
+    if isinstance(a, (np.ndarray, float, np.floating)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+    elif hasattr(a, "__dict__"):
+        assert type(a) is type(b), where
+        for name in vars(a):
+            _assert_identical(getattr(a, name), getattr(b, name), f"{where}.{name}")
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), where
+        for k, (x, y) in enumerate(zip(a, b)):
+            _assert_identical(x, y, f"{where}[{k}]")
+    else:
+        assert a == b, where
+
+
+def _on_cpus(monkeypatch, cpus: int) -> list:
+    """Make ``cpus`` CPUs usable to the sweeps; the returned list gains one entry per fork."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def test_sweeps_on_several_cpus_equal_the_serial_sweeps_bit_for_bit(monkeypatch):
+    # bias's instance (n=3, d=6, seed 0): the two-layer rows stay on
+    # Dormand–Prince, the tied ones switch to RODAS4
+    sweeps = [
+        lambda: run_bias(ExperimentConfig(n=3, dim=6, layers=2, seed=0, t_max=1e4),
+                         alphas=(1.0, 0.1, 0.01)),
+        lambda: run_bias(ExperimentConfig(n=3, dim=6, layers=4, seed=0, t_max=1e4),
+                         alphas=(1.0, 0.1, 0.03), model="redundant"),
+        lambda: convergence_scale_sweep(ExperimentConfig(n=8, dim=5, layers=4, seed=2,
+                                                         t_max=300.0, scheme="zero_first"),
+                                        scales=(1.0, 1.4, 1.8)),
+    ]
+    forks = _on_cpus(monkeypatch, 1)
+    serial = [sweep() for sweep in sweeps]
+    assert not forks
+    for cpus in (2, 3):
+        forks = _on_cpus(monkeypatch, cpus)
+        _assert_identical([sweep() for sweep in sweeps], serial)
+        assert len(forks) == 3 * (cpus - 1)
+
+
+def test_map_deals_the_items_out_and_returns_them_in_order(monkeypatch):
+    for cpus in (1, 2, 3, 8):
+        forks = _on_cpus(monkeypatch, cpus)
+        results = _map(lambda k: (k, os.getpid()), list(range(7)))
+        w = min(cpus, 7)
+        assert [k for k, _ in results] == list(range(7))
+        assert [pid for _, pid in results] == [results[k % w][1] for k in range(7)]
+        assert len({pid for _, pid in results}) == w == len(forks) + 1
+    assert _map(lambda k: k, []) == [] and _map(lambda k: -k, [5]) == [-5]
+
+
+@pytest.mark.parametrize("failing", [{2, 3, 4}, {3, 4}, {1, 5}, {0, 1}],
+                         ids=["second_child", "parent_before_child", "first_child", "parent"])
+def test_map_raises_the_failure_of_the_lowest_index(monkeypatch, failing):
+    # three workers: this process runs items 0 and 3, the children 1, 4 and 2, 5
+    _on_cpus(monkeypatch, 3)
+
+    def fn(k):
+        if k in failing:
+            if k % 2:
+                raise NewtonError(f"item {k}", residual=k / 8)
+            raise StepUnderflowError(float(k), 2.0 ** -k)
+        return k
+
+    with pytest.raises((NewtonError, StepUnderflowError)) as info:
+        _map(fn, list(range(6)))
+    first = min(failing)
+    assert type(info.value) is (NewtonError if first % 2 else StepUnderflowError)
+    if first % 2:
+        assert (info.value.reason, info.value.residual) == (f"item {first}", first / 8)
+    else:
+        assert (info.value.time, info.value.h) == (float(first), 2.0 ** -first)
+
+
+def test_map_says_that_a_worker_was_killed_by_a_signal(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def fn(k):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return k
+
+    with pytest.raises(RuntimeError, match="killed by signal 9"):
+        _map(fn, [0, 1, 2])
+
+
+def test_map_says_that_a_worker_could_not_send_its_results(monkeypatch, capfd):
+    _on_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"failed \(exit status 1\)"):
+        _map(lambda k: lambda: k, [0, 1])  # a closure does not pickle
+    assert "Can't pickle" in capfd.readouterr().err  # the child's traceback
+
+
+class _UnpicklableError(RuntimeError):
+    def __init__(self, message, residual):  # pickle calls it with the message alone
+        super().__init__(f"{message} ({residual})")
+
+
+def test_map_says_that_a_worker_sent_what_does_not_unpickle(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+
+    def fn(k):
+        if k:
+            raise _UnpicklableError("stalled", 1e-9)
+        return k
+
+    with pytest.raises(RuntimeError, match="sent outcomes that do not unpickle: TypeError"):
+        _map(fn, [0, 1])
+
+
+def test_map_kills_its_workers_when_its_own_share_fails(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def fn(k):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _map(fn, [0, 1])
+    assert time.perf_counter() - start < 10.0  # conftest checks that the child was reaped
+
+
+def test_map_kills_its_workers_when_a_fork_fails(monkeypatch):
+    _on_cpus(monkeypatch, 3)
+    fork = os.fork
+    forks = []
+
+    def fork_once():
+        forks.append(1)
+        if len(forks) > 1:
+            raise BlockingIOError("no more processes")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    start = time.perf_counter()
+    with pytest.raises(BlockingIOError):
+        _map(lambda k: time.sleep(60), [0, 1, 2])
+    assert time.perf_counter() - start < 10.0  # the first child was killed, not waited for
+
+
+def test_a_tied_sweep_raises_the_newton_error_of_its_small_alpha_row(monkeypatch):
+    # tied L=5 at alpha=0.01 reaches its limit by t_max=1e6, where solve_kkt
+    # stalls (ROADMAP item 5); with two workers a child computes that row
+    _on_cpus(monkeypatch, 2)
+    cfg = ExperimentConfig(n=3, dim=6, layers=5, seed=0, t_max=1e6)
+    with pytest.raises(NewtonError, match="backtracking stalled") as info:
+        run_bias(cfg, alphas=(1.0, 0.01), model="redundant")
+    assert info.value.reason == "backtracking stalled"
+    assert 1e-10 < info.value.residual < 1e-8

@@ -1,7 +1,7 @@
 """Paired parent/change runs of the diagflow benchmark, written as one JSON file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --pr N
-        [--pairs 10] [--traced W ...]
+        [--pairs 10] [--traced W ...] [--cpus 0[,1...]]
 
 ``DIR`` is a checkout holding ``diagbench/run.py`` and ``src/diagflow``:
 for example ``git archive`` of each commit unpacked into its own
@@ -12,8 +12,11 @@ odd ones. Run length is the benchmark's ``run_seconds`` on both sides.
 ``--traced W`` adds ``TRACED_RUNS`` ``--trace 1`` runs of workload ``W``
 per side, all with seed 11 and the side run first alternating, for the
 per-layer figures; each figure is reported with its runs and median, since
-one traced run per side has read 2x apart on identical code. The report is
-written to ``BENCH_<pr>.json`` in the working directory.
+one traced run per side has read 2x apart on identical code. ``--cpus``
+pins every run of both sides to those CPUs (``os.sched_setaffinity`` in the
+started process, inherited by the benchmark's workers), so a change that
+uses the second core can be measured without it. The report is written to
+``BENCH_<pr>.json`` in the working directory.
 
 Per end-to-end metric the output holds each side's runs, median and
 quartiles, the pairs the change won (ties count for neither), the median
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -37,11 +41,14 @@ FIRST_SEED = 11
 TRACED_RUNS = 3
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``diagbench/run.py`` run: its result JSON and the machine facts it printed."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
+              cpus: set | None) -> dict:
+    """One ``diagbench/run.py`` run, on ``cpus`` if given: its result JSON and the
+    machine facts it printed."""
     cmd = [sys.executable, "diagbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace), "--size", "full"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    pin = (lambda: os.sched_setaffinity(0, cpus)) if cpus else None
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, preexec_fn=pin)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited with {proc.returncode}:\n"
@@ -81,6 +88,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--traced", action="append", default=[])
+    parser.add_argument("--cpus", type=lambda text: {int(c) for c in text.split(",")},
+                        help="comma-separated CPU numbers to pin every run to")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
@@ -95,7 +104,7 @@ def main(argv=None) -> int:
         for i, seed in enumerate(seeds):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 began = time.perf_counter()
-                out = run_bench(checkouts[side], workload, seed, seconds, 0)
+                out = run_bench(checkouts[side], workload, seed, seconds, 0, args.cpus)
                 machine[side] = out["machine"]
                 runs[side].append(out)
                 print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} {side}: "
@@ -117,7 +126,7 @@ def main(argv=None) -> int:
         runs = {side: [] for side in SIDES}
         for i in range(TRACED_RUNS):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                out = run_bench(checkouts[side], workload, FIRST_SEED, seconds, 1)
+                out = run_bench(checkouts[side], workload, FIRST_SEED, seconds, 1, args.cpus)
                 runs[side].append({"failed": out["failed"], "attempted": out["attempted"],
                                    **{k: v["value"] for k, v in out["metrics"].items()}})
                 print(f"{workload} traced run {i + 1}/{TRACED_RUNS} {side}", file=sys.stderr)
@@ -133,6 +142,7 @@ def main(argv=None) -> int:
         "protocol": "one seed per pair, the same on both sides; the side run first "
                     "alternates, the parent first in even pairs",
         "machine": machine,
+        "cpus": sorted(args.cpus) if args.cpus else "all usable",
         "workloads": result,
     }
     if traced:
