@@ -132,7 +132,7 @@ def _parse(parser: argparse.ArgumentParser,
     Config-file flags are parsed like command-line flags, and explicit
     flags win over them; unset values fall back to ``_DEFAULTS`` and then to
     the ``ExperimentConfig`` defaults, which also check the ranges (for
-    ``bias``, ``n < dim`` too).
+    ``bias``, ``n < dim <= 16`` too).
     """
     args = vars(parser.parse_args(argv))
     if "config" in args:

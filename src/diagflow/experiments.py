@@ -183,9 +183,10 @@ class ExperimentConfig:
                 raise ValueError("explicit values must be finite")
 
     def require_underdetermined(self) -> None:
-        """Raise ``ValueError`` unless ``n < dim``, as ``run_bias`` needs."""
+        """Raise ``ValueError`` unless ``n < dim <= 16``, as ``run_bias`` needs."""
         if self.n >= self.dim:
             raise ValueError("bias experiment expects an underdetermined instance (n < dim)")
+        _require_l1_dim(self.dim)
 
     def init_scheme(self) -> InitScheme:
         return InitScheme(self.scheme, scale=self.scale, values=self.values)
@@ -435,6 +436,11 @@ def _support_value(X: np.ndarray, y: np.ndarray, support: list,
     return float(np.sum(np.abs(theta_s))), theta_s
 
 
+def _require_l1_dim(d: int) -> None:
+    if d > _MAX_L1_DIM:
+        raise ValueError(f"support enumeration is desk-scale only (dim <= {_MAX_L1_DIM})")
+
+
 def min_l1_norm(X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact minimal L1 norm over ``{theta : X theta = y}`` at desk scale.
 
@@ -455,8 +461,7 @@ def min_l1_norm(X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
-    if d > _MAX_L1_DIM:
-        raise ValueError(f"support enumeration is desk-scale only (dim <= {_MAX_L1_DIM})")
+    _require_l1_dim(d)
     y_scale = 1.0 + float(np.max(np.abs(y))) if y.size else 1.0
     tol = _L1_FEAS_TOL * y_scale
     if not y.size or float(np.max(np.abs(y))) <= tol:  # the empty support interpolates

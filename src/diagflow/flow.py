@@ -18,8 +18,9 @@ Each flow hands the driver two hooks that describe its parameterization
 and take no loss quantity: ``factors(y, p) -> theta`` writes the
 velocity's factors P into ``p`` and returns theta, so that the velocity
 ``-p * grad L(theta)`` is written in place into the stepper's stage
-buffer, and ``jacobian(y)`` gives dtheta/dy and dP/dy for RODAS4. The
-layer flow takes all three from ``model``. The accumulated dual variable
+buffer, and ``jacobian(y)`` gives dtheta/dy and dP/dy for RODAS4. Both
+flows take both hooks from ``model``, where both maps live, so this module
+only integrates. The accumulated dual variable
 
     xi(t) = -integral_0^t grad L(theta(s)) ds
 
@@ -35,8 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (LayerStack, leave_one_out_products, leave_two_out_products,
-                    product_factors, theta_of_layers)
+from .model import (LayerStack, check_tied, leave_one_out_products, product_factors,
+                    product_jacobian, theta_of_layers, tied_hooks)
 
 # Abort threshold on |theta|_inf: gradient flow on a quadratic cannot
 # diverge, so crossing this signals discretization failure.
@@ -161,21 +162,6 @@ class Trajectory:
             yield Trajectory(*(column[rows] for column in columns), optimum=self.optimum)
 
 
-def _layer_jacobian(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(dtheta/dy, dP/dy)`` of the layer flow at the layers ``y``: the
-    leave-one-out products ``(L, d)`` and the leave-two-out products as
-    ``(d, L, L)`` blocks, one per coordinate."""
-    return leave_one_out_products(y), leave_two_out_products(y).transpose(2, 0, 1)
-
-
-def _tied_jacobian(y: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(dtheta/dy, dP/dy)`` of the tied flow at the row ``y = [u]``, with
-    ``theta = u^L`` and ``P = L u^(L-1)``: ``[L u^(L-1)]`` and the 1 x 1
-    blocks ``L (L-1) u^(L-2)``."""
-    u = y[0]
-    return L * u[None, :] ** (L - 1), (L * (L - 1) * u ** (L - 2))[:, None, None]
-
-
 def _w_solver(c: float, q: np.ndarray, p: np.ndarray, B: np.ndarray, H: np.ndarray):
     """``r -> W^-1 r`` for ``W = c I - J`` and a Jacobian in factors.
 
@@ -245,9 +231,9 @@ class _Columns:
 
     ``on_row``, when given, sees each kept row exactly once, in order, as
     the tuple ``(t, layers, theta, xi, loss, gradient)`` of views it must
-    not keep: on a counted grid as the row is written, otherwise from
-    ``kept`` at the end. A run that raises has delivered no row past its
-    last accepted one.
+    not keep, as the row is written; a run that raises has delivered no row
+    past its last accepted one. Any other grid is known only at the end, when
+    the ``Trajectory`` holds it, so there ``on_row`` raises ``ValueError``.
     """
 
     def __init__(self, row: tuple, ctrl: StepController, on_row=None):
@@ -259,6 +245,8 @@ class _Columns:
                 t, steps = t + h, steps + 1
             self.stride, self.last = self._stride(steps + 1), steps
             capacity = math.ceil(steps / self.stride) + 1
+        elif on_row is not None:
+            raise ValueError("on_row needs a fixed-step run without stop_gap")
         self.arrays = [np.empty((capacity, *np.shape(v))) for v in row]
         self.count = self.step = 0
         self._write(row)
@@ -280,7 +268,7 @@ class _Columns:
         for column, v in zip(self.arrays, row):
             column[self.count] = v
         self.count += 1
-        if self.on_row is not None and self.last is not None:
+        if self.on_row is not None:
             self.on_row(row)
 
     def kept(self) -> list[np.ndarray]:
@@ -288,16 +276,11 @@ class _Columns:
         k = self.count
         stride = self._stride(k)
         if stride == 1 and k == len(self.arrays[0]):
-            columns = self.arrays
-        else:
-            rows = np.arange(0, k, stride)
-            if (k - 1) % stride:
-                rows = np.append(rows, k - 1)
-            columns = [self.arrays.pop(0)[rows] for _ in range(len(self.arrays))]
-        if self.on_row is not None and self.last is None:
-            for row in zip(*columns):
-                self.on_row(row)
-        return columns
+            return self.arrays
+        rows = np.arange(0, k, stride)
+        if (k - 1) % stride:
+            rows = np.append(rows, k - 1)
+        return [self.arrays.pop(0)[rows] for _ in range(len(self.arrays))]
 
 
 def integrate(stack0: LayerStack, loss, ctrl: StepController, on_row=None) -> Trajectory:
@@ -307,12 +290,13 @@ def integrate(stack0: LayerStack, loss, ctrl: StepController, on_row=None) -> Tr
     as one more state row, by the stepper's own weights. ``on_row`` is
     ``_Columns``'s row callback. Deterministic given its inputs.
 
-    Raises ``DivergenceError`` when the state leaves the finite region and,
+    Raises ``ValueError`` for ``on_row`` on a grid ``_Columns`` cannot count,
+    ``DivergenceError`` when the state leaves the finite region and,
     in adaptive mode, ``StepUnderflowError`` when no acceptable step exists.
     """
     L, d = stack0.layers.shape
     return _drive(stack0.layers, loss, ctrl, factors=product_factors(L, (d,)),
-                  jacobian=_layer_jacobian, on_row=on_row)
+                  jacobian=product_jacobian, on_row=on_row)
 
 
 def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepController) -> Trajectory:
@@ -320,23 +304,12 @@ def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepControl
 
     All ``L`` layers share the single weight vector ``u``, so the dynamic is
     ``du/dt = -L * u**(L-1) * grad L(theta)``. Snapshots replicate ``u``
-    across the layer axis. Requires ``u0 > 0`` componentwise; the flow is
-    aborted if the state leaves the positive orthant (which can only happen
-    through discretization error).
+    across the layer axis. Requires ``u0 > 0`` and an integer L >= 3
+    (``model.check_tied``); the flow is aborted if the state leaves the
+    positive orthant (which can only happen through discretization error).
     """
-    u0 = np.asarray(u0, dtype=float)
-    if num_layers < 3:
-        raise ValueError("redundant flow expects at least 3 layers")
-    if u0.ndim != 1 or not np.all(u0 > 0):
-        raise ValueError("u0 must be a strictly positive vector")
-    L = num_layers
-
-    def factors(y, p):  # the state is the row u, then xi; theta is the product of L copies of u
-        np.multiply(L, y[:1] ** (L - 1), p[:1])
-        return y[:1].repeat(L, axis=0).prod(axis=0)
-
-    traj = _drive(u0[None, :], loss, ctrl, factors=factors,
-                  jacobian=lambda y: _tied_jacobian(y, L), positive=True)
+    u0, L = check_tied(u0, num_layers)
+    traj = _drive(u0[None, :], loss, ctrl, *tied_hooks(L, u0.shape), positive=True)
     return replace(traj, layers=np.repeat(traj.layers, L, axis=1))
 
 

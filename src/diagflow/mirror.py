@@ -22,7 +22,7 @@ import numpy as np
 
 from .conservation import SingularMobilityError
 from .flow import Trajectory
-from .model import mobility
+from .model import check_tied, mobility
 
 DELTA0_RTOL = 1e-12
 
@@ -90,22 +90,12 @@ class PowerEntropy:
     """
 
     def __init__(self, u0, num_layers: int):
-        u0 = np.asarray(u0, dtype=float)
-        if u0.ndim != 1 or np.any(u0 <= 0):
-            raise ValueError("u0 must be a strictly positive vector")
-        if int(num_layers) != num_layers or num_layers < 3:
-            raise ValueError("num_layers must be an integer >= 3")
-        self.u0 = u0
-        self.num_layers = int(num_layers)
-
-    @property
-    def dual_scale(self) -> float:
-        L = self.num_layers
-        return float(L * (L - 2))
+        self.u0, self.num_layers = check_tied(u0, num_layers)
+        self.dual_scale = float(self.num_layers * (self.num_layers - 2))
 
     def _base(self, xi):
         L = self.num_layers
-        base = self.u0 ** (-(L - 2)) - L * (L - 2) * np.asarray(xi)
+        base = self.u0 ** (-(L - 2)) - self.dual_scale * np.asarray(xi)
         if np.any(base <= 0):
             raise ValueError("xi outside the map's domain (theta would leave the positive orthant)")
         return base
@@ -115,8 +105,7 @@ class PowerEntropy:
         return self._base(xi) ** (-L / (L - 2))
 
     def xi_from_theta(self, theta):
-        L = self.num_layers
-        return self.grad(theta) / (L * (L - 2))
+        return self.grad(theta) / self.dual_scale
 
     def dtheta_dxi(self, xi):
         L = self.num_layers

@@ -5,9 +5,12 @@ The model is linear in the inputs with coefficient vector
 ``u^j`` is one trainable layer vector of the network. ``LayerStack`` holds
 the layers, ``QuadraticLoss`` the data-fitting objective.
 
-It is the one module that multiplies layers: theta, its first derivatives
-(the leave-one-out products, also as the flow's ``product_factors`` hook)
-and its second (the leave-two-out products).
+It is the one module that multiplies layers, and holds both maps the flow
+integrates with their driver hooks (see ``flow``): the product map ``theta =
+u^1 * ... * u^L``, its first derivatives (the leave-one-out products, also
+as the ``product_factors`` hook), its second (the leave-two-out products)
+and the ``product_jacobian`` hook; the tied map ``theta = u**L`` in closed
+form, ``check_tied``, the one check of its ``u0`` and L, and ``tied_hooks``.
 
 The flow uses a loss through a small protocol, so the quadratic instance
 can be replaced by any smooth objective that has
@@ -90,6 +93,40 @@ def leave_two_out_products(layers: np.ndarray) -> np.ndarray:
     products = others.prod(axis=2)
     products[layer, layer] = 0.0
     return products
+
+
+def product_jacobian(layers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The layer flow's ``jacobian`` hook: the leave-one-out and leave-two-out products."""
+    return leave_one_out_products(layers), leave_two_out_products(layers).transpose(2, 0, 1)
+
+
+def check_tied(u0, num_layers) -> tuple[np.ndarray, int]:
+    """The tied map's ``(u0, L)`` as a float vector and an int; ``ValueError`` unless
+    ``u0 > 0``, which rejects NaN, and L is an integer >= 3 (4.0 is 4)."""
+    u0 = np.asarray(u0, dtype=float)
+    if u0.ndim != 1 or not np.all(u0 > 0):
+        raise ValueError("u0 must be a strictly positive vector")
+    if not (num_layers >= 3 and float(num_layers).is_integer()):
+        raise ValueError("num_layers must be an integer >= 3")
+    return u0, int(num_layers)
+
+
+def tied_hooks(num_layers: int, shape):
+    """The tied flow's hooks ``(factors, jacobian)`` on the row ``v[:1] = [u]`` of ``shape``:
+    both take ``P = L u^(L-1)`` by one expression, ``factors`` returns theta as the product
+    of L copies of u in a reused buffer, ``jacobian`` gives ``([P], L (L-1) u^(L-2))``."""
+    L = num_layers
+    copies = np.empty((L, *shape))
+
+    def factors(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(L, v[:1] ** (L - 1), out[:1])
+        copies[...] = v[0]
+        return theta_of_layers(copies)
+
+    def jacobian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.multiply(L, v ** (L - 1)), (L * (L - 1) * v[0] ** (L - 2))[:, None, None]
+
+    return factors, jacobian
 
 
 def mobility(layers: np.ndarray) -> np.ndarray:

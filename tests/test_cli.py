@@ -288,7 +288,8 @@ _SIMULATE = ["simulate", "--layers", "2", "--dim", "2"]
                                    [*_SIMULATE, "--step", "nan"],
                                    [*_SIMULATE, "--init-scale", "nan"], [*_SIMULATE, "--seed", "-1"],
                                    [*_SIMULATE, "--init-scheme", "explicit", "--init-file", "nan.txt"],
-                                   ["bias", "--samples", "6", "--dim", "6"]])
+                                   ["bias", "--samples", "6", "--dim", "6"],
+                                   ["bias", "--samples", "3", "--dim", "17"]])
 def test_out_of_range_value_is_a_usage_error(tmp_path, monkeypatch, capsys, flags):
     # rejected while parsing, before any file is written
     monkeypatch.chdir(tmp_path)
@@ -296,7 +297,8 @@ def test_out_of_range_value_is_a_usage_error(tmp_path, monkeypatch, capsys, flag
     with pytest.raises(SystemExit) as err:
         main([*flags, "--output", "o.csv"])
     assert err.value.code == 2
-    assert re.search("must be|expects an underdetermined instance", capsys.readouterr().err)
+    assert re.search(r"must be|expects an underdetermined instance|desk-scale only \(dim <= 16\)",
+                     capsys.readouterr().err)
     assert not (tmp_path / "o.csv").exists()
 
 

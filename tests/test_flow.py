@@ -10,6 +10,7 @@ from diagflow import (
     ExperimentConfig,
     InitScheme,
     LayerStack,
+    PowerEntropy,
     QuadraticLoss,
     StepController,
     StepUnderflowError,
@@ -35,12 +36,11 @@ from diagflow.flow import (
     SNAPSHOT_BLOCK,
     _error_ratio,
     _guard,
-    _layer_jacobian,
     _rodas_step,
     _StiffnessTest,
-    _tied_jacobian,
     _w_solver,
 )
+from diagflow.model import product_jacobian, tied_hooks
 
 # theta(1) for the scalar benchmark below (u0=1, v0=2, loss theta^2),
 # computed once with explicit Euler at step 1e-6
@@ -375,25 +375,37 @@ def _same_bits(a, b) -> bool:
 _ROW_FIELDS = ("times", "layers", "thetas", "xi", "losses", "grads")
 
 
-@pytest.mark.parametrize("ctrl, stack0", [
-    (StepController(h=1e-2, t_max=1.0, max_points=2), None),
-    (StepController(h=1e-2, t_max=1.0, max_points=3), None),
-    (StepController(h=1e-2, t_max=1.0, max_points=7), None),
-    (StepController(h=1e-3, t_max=6.0), None),                  # 6,001 rows, 3,001 kept
-    (StepController(h=0.03, t_max=1.0, max_points=5), None),     # T is not a multiple of h
-    (StepController(h=1e-2, t_max=50.0, max_points=9, stop_gap=1e-3), None),
-    (StepController(mode="adaptive", t_max=5.0, max_points=11), None),
-    (StepController(mode="adaptive", t_max=500.0, max_points=50),
-     init_layers(4, 4, InitScheme("uniform", scale=0.3), seed=1)),  # switches to RODAS4
-], ids=["m2", "m3", "m7", "m5000_6001_rows", "ragged_T", "stop_gap", "adaptive", "rodas4"])
-def test_row_callback_sees_each_returned_row_once_in_order(ctrl, stack0):
-    loss = make_problem(5, 3, 16) if stack0 is None else make_problem(6, 4, 0)
-    stack0 = init_layers(3, 3, InitScheme("uniform"), seed=17) if stack0 is None else stack0
+@pytest.mark.parametrize("ctrl", [
+    StepController(h=1e-2, t_max=1.0, max_points=2),
+    StepController(h=1e-2, t_max=1.0, max_points=3),
+    StepController(h=1e-2, t_max=1.0, max_points=7),
+    StepController(h=1e-3, t_max=6.0),                # 6,001 rows, 3,001 kept
+    StepController(h=0.03, t_max=1.0, max_points=5),  # T is not a multiple of h
+], ids=["m2", "m3", "m7", "m5000_6001_rows", "ragged_T"])
+def test_row_callback_sees_each_returned_row_once_in_order(ctrl):
+    loss = make_problem(5, 3, 16)
+    stack0 = init_layers(3, 3, InitScheme("uniform"), seed=17)
     rows = []
     traj = integrate(stack0, loss, ctrl, on_row=_collect_rows(rows))
     assert len(rows) == len(traj)
     for name, column in zip(_ROW_FIELDS, zip(*rows)):
         assert _same_bits(column, getattr(traj, name)), name
+
+
+@pytest.mark.parametrize("ctrl, hessian", [
+    (StepController(h=1e-2, t_max=50.0, max_points=9, stop_gap=1e-3), False),
+    (StepController(mode="adaptive", t_max=5.0, max_points=11), False),
+    (StepController(mode="adaptive", t_max=500.0, max_points=50), True),  # would switch to RODAS4
+], ids=["stop_gap", "adaptive", "rodas4"])
+def test_row_callback_is_refused_on_a_grid_not_counted_up_front(ctrl, hessian):
+    # such a grid is known only at the end, when the Trajectory holds every
+    # kept row; the run stops before its first step and hands over nothing
+    loss = _CountingLoss(make_problem(6, 4, 0), hessian=hessian)
+    stack0 = init_layers(4, 4, InitScheme("uniform", scale=0.3), seed=1)
+    rows = []
+    with pytest.raises(ValueError, match="on_row needs a fixed-step run without stop_gap"):
+        integrate(stack0, loss, ctrl, on_row=_collect_rows(rows))
+    assert rows == [] and sum(loss.calls.values()) == 1  # the initial state's evaluation
 
 
 class _PoisonedLoss:
@@ -651,12 +663,12 @@ def _jacobian_case(flow, L):
         y = init_layers(3, L, InitScheme("uniform", scale=1.5), seed=70 + L).layers.copy()
         y[L // 2] = 0.0
         theta_of, factor = (lambda y: np.prod(y, axis=0)), leave_one_out_products
-        dtheta, curvature = _layer_jacobian(y)
+        dtheta, curvature = product_jacobian(y)
     else:
         loss = make_problem(3, 6, 40, positive=True)
         y = init_layers(6, 2, InitScheme("positive", scale=1.5), seed=50).layers[:1]
         theta_of, factor = (lambda y: y[0] ** L), (lambda y: L * y ** (L - 1))
-        dtheta, curvature = _tied_jacobian(y, L)
+        dtheta, curvature = tied_hooks(L, y.shape[1:])[1](y)
     g = loss.gradient(theta_of(y))
     return loss, y, theta_of, factor, dtheta, curvature * g[:, None, None]
 
@@ -732,7 +744,7 @@ def test_w_solver_never_forms_the_dense_matrix():
     y = init_layers(d, L, InitScheme("uniform"), seed=6).layers
     theta = np.prod(y, axis=0)
     H, g = loss.hessian(theta), loss.gradient(theta)
-    p, curvature = _layer_jacobian(y)
+    p, curvature = product_jacobian(y)
     B = curvature * g[:, None, None]
     tracemalloc.start()
     try:
@@ -999,6 +1011,46 @@ def test_redundant_flow_validation():
         integrate_redundant(np.array([1.0, -0.5, 1.0]), 4, loss, StepController(t_max=1.0))
     with pytest.raises(ValueError):
         integrate_redundant(np.ones(3), 2, loss, StepController(t_max=1.0))
+
+
+@pytest.mark.parametrize("u0, num_layers, message", [
+    (np.array([1.0, np.nan, 1.0]), 4, "strictly positive"),
+    (np.ones(3), 3.5, "integer >= 3"),  # once integrated as P = 3.5 u^2.5 with theta = u^3
+    (np.ones(3), math.nan, "integer >= 3"),
+])
+def test_redundant_flow_and_power_entropy_share_one_check(u0, num_layers, message):
+    loss = _CountingLoss(make_problem(4, 3, 21, positive=True))
+    with pytest.raises(ValueError, match=message):
+        integrate_redundant(u0, num_layers, loss, StepController(t_max=1.0))
+    assert sum(loss.calls.values()) == 0  # raised before any step
+    with pytest.raises(ValueError, match=message):
+        PowerEntropy(u0, num_layers)
+
+
+def test_redundant_flow_takes_an_integral_float_as_its_integer():
+    loss = make_problem(4, 3, 21, positive=True)
+    u0, ctrl = np.array([0.8, 1.1, 0.9]), StepController(t_max=0.5)
+    as_float, as_int = (integrate_redundant(u0, L, loss, ctrl) for L in (4.0, 4))
+    assert as_float.num_layers == 4
+    for name in _FIELDS:
+        assert _same_bits(getattr(as_float, name), getattr(as_int, name)), name
+
+
+@pytest.mark.parametrize("alpha, ctrl", [
+    (1.0, StepController(h=1e-3, t_max=2.0, max_points=10**6)),
+    (0.03, StepController(mode="adaptive", t_max=1e4, stop_gap=FLOW_LIMIT_GAP, max_points=2000)),
+], ids=["fixed", "adaptive_rodas4"])
+def test_tied_theta_is_the_product_of_its_recorded_layers_bit_for_bit(alpha, ctrl):
+    # run_bias's tied instance (L=4, seed 0); the adaptive run switches to RODAS4
+    rng = np.random.default_rng(0)
+    X = 1.0 - rng.random((3, 6))
+    loss = _CountingLoss(QuadraticLoss(X, X @ (0.5 + rng.random(6))), hessian=True)
+    u0 = alpha * (0.5 + 0.5 * np.random.default_rng(1).random(6))
+    traj = integrate_redundant(u0, 4, loss, ctrl)
+    assert (loss.switch_gap is not None) == (ctrl.mode == "adaptive")
+    assert np.array_equal(traj.layers, np.repeat(traj.layers[:, :1], 4, axis=1))
+    for layers, theta in zip(traj.layers, traj.thetas):
+        assert _same_bits(theta_of_layers(layers), theta)
 
 
 def _reference_thetas(velocity, y0, times, theta_of):

@@ -195,6 +195,8 @@ def test_power_domain_errors():
         PowerEntropy(np.array([1.0, 0.0]), 3)
     with pytest.raises(ValueError):
         PowerEntropy(np.ones(2), 2)
+    with pytest.raises(ValueError, match="strictly positive"):
+        PowerEntropy(np.array([1.0, np.nan]), 3)
 
 
 def test_power_slope():

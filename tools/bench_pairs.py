@@ -21,8 +21,10 @@ uses the second core can be measured without it. The report is written to
 Per end-to-end metric the output holds each side's runs, median and
 quartiles, the pairs the change won (ties count for neither), the median
 change in percent, and whether the gap between medians exceeds the
-parent's interquartile range. It also holds the failed operations per side
-and the machine facts that ``run.py`` prints.
+parent's interquartile range. It also holds the failed operations per side,
+the machine facts that ``run.py`` prints, and each side's non-blank line
+count under ``src/diagflow`` with the change's delta, so that the
+source-line delta comes from the same checkouts as the timings.
 """
 
 from __future__ import annotations
@@ -56,6 +58,12 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     machine = next((json.loads(line[len("machine "):]) for line in lines
                     if line.startswith("machine ")), {})
     return {**json.loads(lines[-1]), "machine": machine}
+
+
+def source_lines(checkout: Path) -> int:
+    """Non-blank lines of the ``.py`` files under ``src/diagflow`` of ``checkout``."""
+    return sum(1 for path in (checkout / "src" / "diagflow").rglob("*.py")
+               for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
 
 
 def quartiles(runs: list[float]) -> dict:
@@ -92,6 +100,7 @@ def main(argv=None) -> int:
                         help="comma-separated CPU numbers to pin every run to")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    lines = {side: source_lines(checkouts[side]) for side in SIDES}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     output = Path(f"BENCH_{args.pr}.json")
@@ -143,6 +152,7 @@ def main(argv=None) -> int:
                     "alternates, the parent first in even pairs",
         "machine": machine,
         "cpus": sorted(args.cpus) if args.cpus else "all usable",
+        "source_lines": {**lines, "delta": lines["change"] - lines["parent"]},
         "workloads": result,
     }
     if traced:
