@@ -19,14 +19,15 @@ Every command builds all of its checks, the diagnostics included, before
 ``main`` writes ``--output`` and then ``--diagnostics``: a run that stops on
 an error before that writes neither file. ``simulate --output`` alone
 formats its CSV while the flow runs, in a forked writer process
-(``report.TrajectoryCsvProcess``) that fills a temporary file; ``main``'s
-write step waits for the writer and only then copies that file to
-``--output``, and a run that fails before that step kills and reaps the
-writer and leaves no file. ``bias`` runs its scales in forked workers,
-one per usable CPU (``experiments._map``), and reaps them before it builds
-its table; it writes the same bytes on any number of CPUs. No ``main`` call
-leaves a process behind; ``simulate`` without ``--output`` and every other
-command start none.
+(``report.TrajectoryCsvProcess``) that fills a nameless temporary file;
+``main``'s write step waits for the writer and only then copies that file
+to ``--output``, and a run that fails before that step kills and reaps the
+writer. ``bias`` runs its scales in forked workers, one per usable CPU
+(``experiments._map``); it writes the same bytes on any number of CPUs. A
+failure raised in writer or worker reaches ``main`` as itself; one that
+dies is a ``report.ChildError`` naming its signal or exit status. No
+``main`` call leaves a process behind; ``simulate`` without ``--output``
+and every other command start none.
 
 Exit codes: 0 when every check passes, 1 on a check or numerical failure
 or an unwritable output file, 2 on usage errors (an unreadable config or
@@ -47,7 +48,7 @@ from .experiments import (FLOW_LIMIT_GAP, ExperimentConfig, NewtonError, run_bia
                           run_convergence, run_crossings)
 from .flow import DivergenceError, StepController, StepUnderflowError, integrate
 from .model import InitScheme
-from .report import TrajectoryCsvProcess, build_diagnostics
+from .report import ChildError, TrajectoryCsvProcess, build_diagnostics
 
 # Pass/fail thresholds for the summary checks, valid at the default
 # integrator settings.
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
         if diagnostics:
             diag.write(diagnostics)
         return 0 if _print_table(rows) else 1
-    except (DivergenceError, StepUnderflowError, NewtonError, TiedMinimumError,
+    except (DivergenceError, StepUnderflowError, NewtonError, TiedMinimumError, ChildError,
             SingularMobilityError, np.linalg.LinAlgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,8 +7,8 @@ system, and an exact minimal-L1 oracle that screens every basis by batched
 solves and rescans the near-optimal ones support by support). Every run
 is deterministic given its configuration. The sweeps (``run_bias``,
 ``convergence_scale_sweep``) run their independent flows side by side on
-the usable CPUs, in forked workers (``_map``), and return the same floats
-as one after the other.
+the usable CPUs, in ``report.ForkedCall`` workers (``_map``), and return
+the same floats as one after the other.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import pickle
-import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +31,7 @@ from .conservation import (
 from .flow import StepController, Trajectory, integrate, integrate_redundant
 from .model import EIG_CUTOFF, InitScheme, LayerStack, QuadraticLoss, init_layers
 from .mirror import HyperbolicEntropy, PowerEntropy
-from .report import write_rows_csv
+from .report import ForkedCall, write_rows_csv
 
 GAP_TARGET = 1e-6
 FLOW_LIMIT_GAP = 1e-10
@@ -64,56 +62,28 @@ def _map(fn, items: list) -> list:
     """``[fn(item) for item in items]``, the items dealt out over the usable CPUs.
 
     With ``w = min(len(items), len(os.sched_getaffinity(0)))`` workers,
-    this process runs ``items[0::w]`` and each of ``w - 1`` forked children
-    ``items[i::w]``; one item or one usable CPU forks nothing. A worker
-    stops at its first failing item. A child pickles its ``(index, result or
-    exception)`` pairs into a pipe and leaves by ``os._exit``; this process
-    reads them back as a stream and reaps the child. The results come in
-    item order; if an item failed, the exception of the lowest index is
-    raised, the one that ``[fn(item) for item in items]`` raises. Anything
-    else that goes wrong in this process (a failed fork, an interrupt in its
-    own share, a child that dies or cannot send its outcomes) kills and
-    reaps the children before it propagates.
+    this process runs ``items[0::w]`` and each of ``w - 1`` ``ForkedCall``
+    children ``items[i::w]``; one item or one usable CPU forks nothing. A
+    worker stops at its first failing item and sends back its ``(index,
+    result or exception)`` pairs. The results come in item order; if an
+    item failed, the exception of the lowest index is raised, the one that
+    ``[fn(item) for item in items]`` raises. Anything else that goes wrong
+    in this process (a failed fork, an interrupt in its own share, a
+    ``ChildError``) kills and reaps the children before it propagates.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}  # Linux's
     w = min(len(items), len(cpus)) or 1
-    children = []  # [pid or None before the fork, the read end of its pipe]
+    children = []
     try:
         for i in range(1, w):
-            read, write = os.pipe()
-            with open(write, "wb") as sink:
-                child = [None, open(read, "rb")]
-                children.append(child)
-                child[0] = os.fork()
-                if not child[0]:
-                    _serve(sink, fn, items, i, w)  # does not return
+            children.append(ForkedCall("sweep worker", _share, fn, items, i, w))
         outcomes = _share(fn, items, 0, w)
         while children:
-            pid, source = children[-1]
-            failure = None
-            with source:
-                try:
-                    outcomes += pickle.load(source)
-                except Exception as exc:  # the child's exit status says why
-                    failure = exc
-            _, status = os.waitpid(pid, 0)
+            outcomes += children[-1].result()
             children.pop()
-            code = os.waitstatus_to_exitcode(status)
-            if code < 0:
-                raise RuntimeError(f"sweep worker process {pid} was killed by signal "
-                                   f"{-code} ({signal.strsignal(-code)})") from failure
-            if code:
-                raise RuntimeError(f"sweep worker process {pid} failed "
-                                   f"(exit status {code})") from failure
-            if failure:
-                raise RuntimeError(f"sweep worker process {pid} sent outcomes that do not "
-                                   f"unpickle: {failure!r}") from failure
     except BaseException:
-        for pid, source in children:
-            source.close()
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for child in children:
+            child.kill()
         raise
     outcomes.sort(key=lambda outcome: outcome[0])
     for _, value in outcomes:
@@ -133,21 +103,6 @@ def _share(fn, items: list, start: int, step: int) -> list:
             outcomes.append((k, exc))
             break
     return outcomes
-
-
-def _serve(sink, fn, items: list, start: int, step: int) -> None:
-    """A forked worker: pickle its share's outcomes into ``sink``, then leave by
-    ``os._exit``, with status 0 once they are sent and 1 otherwise."""
-    status = 1
-    try:
-        pickle.dump(_share(fn, items, start, step), sink)
-        sink.close()
-        status = 0
-    except BaseException:
-        import traceback  # not at the top, where it adds 0.1-0.3 MB to peak RSS
-        traceback.print_exc()
-    finally:
-        os._exit(status)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,19 +1,20 @@
-"""Diagnostics assembly and CSV output.
+"""Diagnostics assembly, CSV output, and the forked-child protocol.
 
 The diagnostics file is a single flat CSV with columns
 ``section,metric,value``. Every CSV of the package, trajectories included,
 goes through ``write_rows_csv``, which prints numbers with ``%.17g`` so
 repeated runs are byte-identical. A trajectory CSV is written either at
 once from a ``Trajectory`` (``write_trajectory_csv``) or, while the flow
-runs, by a forked ``TrajectoryCsvProcess``; both lay out its columns and
-rows by ``_trajectory_header`` and ``_trajectory_rows`` and give the same
-bytes.
+runs, by a ``TrajectoryCsvProcess``; both give the same bytes. The
+package forks only in ``ForkedCall``: for that writer and for the sweep
+workers of ``experiments._map``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 import shutil
 import signal
 import tempfile
@@ -30,7 +31,6 @@ from .flow import Trajectory
 # d=64, so that the flow does not wait on the writer's jitter, nor the
 # writer on the flow's (the default 64 KiB holds 18).
 _PIPE_BYTES = 1 << 20
-_NOT_AN_OS_ERROR = 255  # the writer's exit status for any other failure
 
 
 def write_rows_csv(path, header, rows) -> None:
@@ -71,25 +71,95 @@ def write_trajectory_csv(traj: Trajectory, path, include_layers: bool = False) -
     write_rows_csv(path, _trajectory_header(traj.dim, L), rows)
 
 
-class TrajectoryCsvProcess:
-    """A forked child that writes a trajectory CSV, layers included, while the flow runs.
+class ChildError(RuntimeError):
+    """A ``ForkedCall`` child died, failed, or sent back what does not unpickle."""
 
-    The constructor forks the child. ``add`` is ``integrate``'s ``on_row``:
-    it packs each kept row by ``_trajectory_rows`` as float64 bytes into a
-    pipe. The child reads them back as fixed-size records and formats them
-    by ``write_rows_csv`` into a temporary file, so the CSV's bytes are
-    ``write_trajectory_csv``'s; it calls no BLAS and leaves by ``os._exit``,
-    with status 0 or the errno of a failed write. ``finish(path)`` waits for
-    the child and then copies the file to ``path``; ``abort`` kills and
-    reaps it. Either of the two removes the temporary file, and one of them
-    must be called.
+
+class ForkedCall:
+    """``fn(*args)`` in a forked child, which pickles back its value or exception.
+
+    ``result()`` reads that outcome and reaps the child: it returns the
+    value or raises the exception itself, or a ``ChildError`` naming
+    ``role``, the pid and the signal or exit status of a child that died,
+    failed or sent what does not unpickle. ``kill()`` kills and reaps a
+    child that ``result`` has not reaped. One of the two must be called.
+    """
+
+    def __init__(self, role: str, fn, *args):
+        self.role, self.pid = role, None
+        read, write = os.pipe()
+        self._source = open(read, "rb")
+        try:
+            with open(write, "wb") as sink:
+                self.pid = os.fork()
+                if not self.pid:
+                    _run_child(self._source, sink, fn, args)  # does not return
+        except BaseException:
+            self._source.close()
+            raise
+
+    def result(self):
+        failure = None
+        with self._source:
+            try:
+                returned, value = pickle.load(self._source)
+            except Exception as exc:  # the exit status says why
+                failure = exc
+        pid, status = os.waitpid(self.pid, 0)
+        self.pid, code = None, os.waitstatus_to_exitcode(status)
+        why = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0 else
+               f"failed (exit status {code})" if code else
+               f"sent outcomes that do not unpickle: {failure!r}" if failure else None)
+        if why:
+            raise ChildError(f"{self.role} process {pid} {why}") from failure
+        if not returned:
+            raise value
+        return value
+
+    def kill(self) -> None:
+        self._source.close()
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _run_child(source, sink, fn, args: tuple) -> None:
+    """A ``ForkedCall`` child: pickle ``(True, fn(*args))`` or ``(False, its
+    exception)`` into ``sink``; leave by ``os._exit``, with status 0 once it is sent."""
+    status = 1
+    try:
+        source.close()  # the parent's end: with the parent gone, a write fails, not blocks
+        try:
+            outcome = True, fn(*args)
+        except Exception as exc:
+            outcome = False, exc
+        pickle.dump(outcome, sink)
+        sink.close()
+        status = 0
+    except BaseException:
+        import traceback  # not at the top, where it adds 0.1-0.3 MB to peak RSS
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+class TrajectoryCsvProcess:
+    """A ``ForkedCall`` child that writes a trajectory CSV, layers included, while the flow runs.
+
+    ``add`` is ``integrate``'s ``on_row``: it packs each kept row by
+    ``_trajectory_rows`` as float64 bytes into a pipe. The child formats
+    them by ``write_rows_csv`` into a nameless temporary file, so the bytes
+    are ``write_trajectory_csv``'s; it calls no BLAS. ``finish(path)`` waits
+    for the child, raising its failure, and copies the file to ``path``;
+    ``abort`` kills and reaps it. One of the two must be called; either
+    closes the file, which leaves nothing behind.
     """
 
     def __init__(self, dim: int, num_layers: int):
         header = _trajectory_header(dim, num_layers)
-        self._pid = self._pipe = None
-        fd, self._tmp = tempfile.mkstemp(suffix=".csv")
-        os.close(fd)
+        self._child = self._pipe = None
+        self._file = tempfile.TemporaryFile()
         try:
             read, self._pipe = os.pipe()
             # F_SETPIPE_SZ is Linux's, and the system may refuse the size
@@ -97,9 +167,8 @@ class TrajectoryCsvProcess:
                 import fcntl
                 fcntl.fcntl(self._pipe, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
             try:
-                self._pid = os.fork()
-                if self._pid == 0:
-                    _format_records(read, self._pipe, self._tmp, header)  # does not return
+                self._child = ForkedCall("trajectory CSV writer", _format_records, read,
+                                         self._pipe, self._file.fileno(), header)
             finally:
                 os.close(read)
         except BaseException:
@@ -113,58 +182,37 @@ class TrajectoryCsvProcess:
             while data:
                 data = data[os.write(self._pipe, data):]
         except BrokenPipeError:
-            self._wait()  # raises the child's own error
+            self._child.result()  # raises the child's own error
             raise
 
     def finish(self, path) -> None:
         try:
             pipe, self._pipe = self._pipe, None
             os.close(pipe)
-            self._wait()
-            shutil.copyfile(self._tmp, path)
+            self._child.result()
+            self._file.seek(0)
+            with open(path, "wb") as out:
+                shutil.copyfileobj(self._file, out)
         finally:
             self.abort()
 
     def abort(self) -> None:
-        if self._pid:
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
+        if self._child:
+            self._child.kill()
         if self._pipe is not None:
             os.close(self._pipe)
             self._pipe = None
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(self._tmp)
-
-    def _wait(self) -> None:
-        """Reap the child; raise its failure as an ``OSError``."""
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if 0 < code < _NOT_AN_OS_ERROR:
-            raise OSError(code, os.strerror(code), self._tmp)
-        if code:
-            raise OSError(f"the trajectory CSV writer process failed (exit status {code})")
+        self._file.close()
 
 
-def _format_records(read: int, write: int, path: str, header: list[str]) -> None:
-    """The writer child: format the records of the pipe ``read`` into ``path``, then exit.
-
-    It first closes the pipe's end ``write``, the parent's. The exit status
-    is 0, the errno of an ``OSError``, or ``_NOT_AN_OS_ERROR``.
-    """
-    status = _NOT_AN_OS_ERROR
-    try:
-        os.close(write)
-        size = 8 * len(header)
-        with open(read, "rb") as pipe:
-            records = iter(lambda: pipe.read(size), b"")
-            write_rows_csv(path, header, (np.frombuffer(r).tolist() for r in records))
-        status = 0
-    except OSError as exc:
-        status = exc.errno or _NOT_AN_OS_ERROR
-    finally:
-        os._exit(status)
+def _format_records(read: int, write: int, fd: int, header: list[str]) -> None:
+    """The writer child: close ``write``, the parent's end of the pipe ``read``, and
+    format the pipe's records into the file ``fd``."""
+    os.close(write)
+    size = 8 * len(header)
+    with open(read, "rb") as pipe:
+        records = iter(lambda: pipe.read(size), b"")
+        write_rows_csv(fd, header, (np.frombuffer(r).tolist() for r in records))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,18 @@
 import errno
 import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diagflow import ExperimentConfig, StepController, integrate, report, write_trajectory_csv
+from diagflow import (ExperimentConfig, StepController, experiments, integrate, report,
+                      write_trajectory_csv)
 from diagflow.cli import main
 
 
@@ -59,7 +65,7 @@ def test_simulate_output_is_the_trajectory_csv_of_its_flow(tmp_path, temp_dir, c
                          ids=["when_waited_for", "while_the_flow_runs"])
 def test_a_failed_writer_process_is_an_error_and_writes_no_file(tmp_path, temp_dir, monkeypatch,
                                                               capsys, reads_all_rows):
-    # the forked writer inherits the patched write_rows_csv, and its errno
+    # the forked writer inherits the patched write_rows_csv, and its OSError
     # comes back as the parent's error: when main waits for it, or when the
     # flow meets the pipe it closed
     def disk_full(path, header, rows):
@@ -74,6 +80,72 @@ def test_a_failed_writer_process_is_an_error_and_writes_no_file(tmp_path, temp_d
     assert "[Errno 28] No space left on device" in capsys.readouterr().err
     assert not out.exists()
     assert not any(temp_dir.iterdir())
+
+
+def test_a_writer_error_that_is_not_an_os_error_keeps_its_message(tmp_path, temp_dir,
+                                                                  monkeypatch, capsys):
+    def bad_row(path, header, rows):
+        raise ValueError("row 7 has 3 cells, not 5")
+
+    monkeypatch.setattr(report, "write_rows_csv", bad_row)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--tmax", "1", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: row 7 has 3 cells, not 5\n"
+    assert not out.exists()
+    assert not any(temp_dir.iterdir())
+
+
+@pytest.mark.parametrize("command, module, name, role", [
+    (["simulate", "--tmax", "1"], report, "write_rows_csv", "trajectory CSV writer"),
+    (["bias"], experiments, "solve_kkt", "sweep worker"),
+], ids=["simulate_writer", "bias_worker"])
+def test_a_killed_child_process_is_an_error(tmp_path, temp_dir, monkeypatch, capsys,
+                                            command, module, name, role):
+    # on two CPUs, bias's forked worker solves alpha=0.1's KKT system
+    parent, fn = os.getpid(), getattr(module, name)
+
+    def killed_in_a_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(module, name, killed_in_a_child)
+    out = tmp_path / "out.csv"
+    assert main([*command, "--output", str(out)]) == 1
+    assert re.fullmatch(rf"error: {role} process \d+ was killed by signal 9 \(Killed\)\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+    assert not any(temp_dir.iterdir())
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="finds the writer process through /proc/PID/task/PID/children")
+def test_a_terminated_simulate_leaves_no_temporary_file(tmp_path):
+    # SIGTERM ends the parent at once; its writer then reads the end of the
+    # pipe and exits, and the nameless temporary file goes with it
+    temp, out = tmp_path / "temp", tmp_path / "out.csv"
+    temp.mkdir()
+    src = str(Path(report.__file__).parents[1])
+    env = {**os.environ, "TMPDIR": str(temp),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "diagflow.cli", "simulate", "--layers", "5",
+                             "--dim", "64", "--samples", "48", "--tmax", "100",
+                             "--output", str(out)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    deadline = time.monotonic() + 30.0
+    try:
+        while proc.poll() is None and not (children.exists() and children.read_text().strip()):
+            assert time.monotonic() < deadline, "simulate started no writer process"
+            time.sleep(0.01)
+        time.sleep(0.3)  # the writer has rows in its file
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=60)  # the pipes close when the writer has exited too
+    assert proc.returncode == -signal.SIGTERM
+    assert not any(temp.iterdir())
+    assert not out.exists()
 
 
 def test_simulate_divergence_exits_one(tmp_path, capsys):

@@ -37,6 +37,7 @@ from diagflow import (
     Trajectory,
 )
 from diagflow.experiments import FLOW_LIMIT_GAP, GAP_TARGET, _map
+from diagflow.report import ChildError
 
 
 def test_pl_constant_identity_design():
@@ -601,13 +602,13 @@ def test_map_says_that_a_worker_was_killed_by_a_signal(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return k
 
-    with pytest.raises(RuntimeError, match="killed by signal 9"):
+    with pytest.raises(ChildError, match="killed by signal 9"):
         _map(fn, [0, 1, 2])
 
 
 def test_map_says_that_a_worker_could_not_send_its_results(monkeypatch, capfd):
     _on_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match=r"failed \(exit status 1\)"):
+    with pytest.raises(ChildError, match=r"failed \(exit status 1\)"):
         _map(lambda k: lambda: k, [0, 1])  # a closure does not pickle
     assert "Can't pickle" in capfd.readouterr().err  # the child's traceback
 
@@ -625,7 +626,7 @@ def test_map_says_that_a_worker_sent_what_does_not_unpickle(monkeypatch):
             raise _UnpicklableError("stalled", 1e-9)
         return k
 
-    with pytest.raises(RuntimeError, match="sent outcomes that do not unpickle: TypeError"):
+    with pytest.raises(ChildError, match="sent outcomes that do not unpickle: TypeError"):
         _map(fn, [0, 1])
 
 

@@ -23,8 +23,9 @@ quartiles, the pairs the change won (ties count for neither), the median
 change in percent, and whether the gap between medians exceeds the
 parent's interquartile range. It also holds the failed operations per side,
 the machine facts that ``run.py`` prints, and each side's non-blank line
-count under ``src/diagflow`` with the change's delta, so that the
-source-line delta comes from the same checkouts as the timings.
+counts (per file and in total under ``src/diagflow``, in total under
+``tests``) with the change's delta, so that the source-line delta by module
+comes from the same checkouts as the timings.
 """
 
 from __future__ import annotations
@@ -60,10 +61,26 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return {**json.loads(lines[-1]), "machine": machine}
 
 
-def source_lines(checkout: Path) -> int:
-    """Non-blank lines of the ``.py`` files under ``src/diagflow`` of ``checkout``."""
-    return sum(1 for path in (checkout / "src" / "diagflow").rglob("*.py")
-               for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+def source_lines(checkout: Path) -> dict:
+    """Non-blank lines of the ``.py`` files of ``checkout``: per file and in total
+    under ``src/diagflow``, and in total under ``tests``."""
+    def count(path: Path) -> int:
+        return sum(1 for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+
+    src = checkout / "src" / "diagflow"
+    files = {path.relative_to(src).as_posix(): count(path) for path in sorted(src.rglob("*.py"))}
+    return {"total": sum(files.values()), "files": files,
+            "tests": sum(count(path) for path in (checkout / "tests").rglob("*.py"))}
+
+
+def line_delta(parent: dict, change: dict) -> dict:
+    """``change - parent`` for each count of ``source_lines``; a file on one side only
+    counts 0 on the other."""
+    names = sorted(parent["files"].keys() | change["files"].keys())
+    return {"total": change["total"] - parent["total"],
+            "files": {name: change["files"].get(name, 0) - parent["files"].get(name, 0)
+                      for name in names},
+            "tests": change["tests"] - parent["tests"]}
 
 
 def quartiles(runs: list[float]) -> dict:
@@ -152,7 +169,7 @@ def main(argv=None) -> int:
                     "alternates, the parent first in even pairs",
         "machine": machine,
         "cpus": sorted(args.cpus) if args.cpus else "all usable",
-        "source_lines": {**lines, "delta": lines["change"] - lines["parent"]},
+        "source_lines": {**lines, "delta": line_delta(lines["parent"], lines["change"])},
         "workloads": result,
     }
     if traced:
