@@ -16,11 +16,13 @@ not as (L d)^3. Either way an attempted step costs six loss evaluations.
 
 Each flow hands the driver two hooks that describe its parameterization
 and take no loss quantity: ``factors(y, p) -> theta`` writes the
-velocity's factors P into ``p`` and returns theta, so that the velocity
-``-p * grad L(theta)`` is written in place into the stepper's stage
-buffer, and ``jacobian(y)`` gives dtheta/dy and dP/dy for RODAS4. Both
-flows take both hooks from ``model``, where both maps live, so this module
-only integrates. The accumulated dual variable
+velocity's factors P into ``p`` and returns theta, and ``jacobian(y)``
+gives dtheta/dy and dP/dy for RODAS4. Both flows take both hooks from
+``model``, where both maps live, so this module only integrates. A stage
+of every stepper is ``P * grad L(theta)``, minus the velocity, written in
+place into a row of the run's stage buffer; the steppers subtract it, so
+no step forms ``-grad L``. A fixed-step run also keeps its states in two
+buffers that it reuses in turn. The accumulated dual variable
 
     xi(t) = -integral_0^t grad L(theta(s)) ds
 
@@ -42,6 +44,7 @@ from .model import (LayerStack, check_tied, leave_one_out_products, product_fact
 # Abort threshold on |theta|_inf: gradient flow on a quadratic cannot
 # diverge, so crossing this signals discretization failure.
 DIVERGENCE_LIMIT = 1e12
+_THETA_SQUARED_LIMIT = DIVERGENCE_LIMIT ** 2
 
 _MIN_STEP_FRACTION = 1e-14
 
@@ -195,11 +198,13 @@ def layer_rhs(stack: LayerStack, loss) -> np.ndarray:
 
 
 def _guard(y: np.ndarray, theta: np.ndarray, t: float, h: float, positive: bool) -> None:
-    # fast path: a NaN in theta fails the first test, a non-finite y the second
-    top = float(np.abs(theta).max())
+    # fast path: theta @ theta bounds max |theta|^2 and is NaN or inf when
+    # theta is not finite; a non-finite y fails the second test. A finite
+    # theta whose sum of squares alone exceeds the limit's square passes below.
     left = positive and (y[:-1] <= 0).any()  # xi, y's last row, may be negative
-    if top <= DIVERGENCE_LIMIT and math.isfinite(y.sum()) and not left:
+    if np.dot(theta, theta) <= _THETA_SQUARED_LIMIT and math.isfinite(y.sum()) and not left:
         return
+    top = float(np.abs(theta).max())
     if not (np.isfinite(y).all() and np.isfinite(theta).all()):
         raise DivergenceError(t, h, top, f"non-finite state at t={t:.6g}; reduce the step size")
     if top > DIVERGENCE_LIMIT:
@@ -236,7 +241,8 @@ class _Columns:
     the ``Trajectory`` holds it, so there ``on_row`` raises ``ValueError``.
     """
 
-    def __init__(self, row: tuple, ctrl: StepController, on_row=None):
+    def __init__(self, state: tuple, ctrl: StepController, on_row=None):
+        """``state`` is step 0's ``(t, y, theta, loss, gradient)``, as ``add`` takes it."""
         self.max_points, self.on_row = ctrl.max_points, on_row
         self.stride, self.last, capacity = 1, None, 256
         if ctrl.mode == "fixed" and ctrl.stop_gap is None:
@@ -247,6 +253,7 @@ class _Columns:
             capacity = math.ceil(steps / self.stride) + 1
         elif on_row is not None:
             raise ValueError("on_row needs a fixed-step run without stop_gap")
+        row = self._row(*state)
         self.arrays = [np.empty((capacity, *np.shape(v))) for v in row]
         self.count = self.step = 0
         self._write(row)
@@ -254,11 +261,17 @@ class _Columns:
     def _stride(self, k: int) -> int:
         return math.ceil(k / (self.max_points - 1)) if k > self.max_points else 1
 
-    def add(self, row: tuple) -> None:
-        """The row of the next accepted step, written if the rule keeps it."""
+    @staticmethod
+    def _row(t, y, theta, value, gradient) -> tuple:
+        """The ``Trajectory`` row at the state ``y``: its layers, then xi's row."""
+        return t, y[:-1], theta, y[-1], value, gradient
+
+    def add(self, t, y, theta, value, gradient) -> None:
+        """The next accepted step, written if the rule keeps it; its row's views
+        are taken only then."""
         self.step += 1
         if self.step % self.stride == 0 or self.step == self.last:
-            self._write(row)
+            self._write(self._row(t, y, theta, value, gradient))
 
     def _write(self, row: tuple) -> None:
         if self.count == len(self.arrays[0]):
@@ -313,22 +326,32 @@ def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepControl
     return replace(traj, layers=np.repeat(traj.layers, L, axis=1))
 
 
-def _rk4_step(y, h, k, rhs, evaluate):
-    """One classical RK4 step; its error ratio is 0, so every step is accepted.
+def _rk4_stepper(y0, k, rhs, evaluate):
+    """Classical RK4 as ``step(y, h)``, built once per run from ``y0`` and
+    ``_drive``'s stage buffer ``k``, ``rhs`` and ``evaluate``.
 
-    Stages 2-4 go into ``k[1:4]``, each stage point into ``k[4]``, and the
-    weighted sum ``k1 + 2 k2 + 2 k3 + k4``, added in that order, into ``k[5]``
-    (``2 k`` is taken as ``k + k``, the same float).
+    Its error ratio is 0, so every step is accepted. Stages 2-4 go into
+    ``k[1:4]``, each stage point into ``k[4]``, and the weighted sum into
+    ``k[5]``: ``k[1:3]`` is doubled in place (``2 k`` as ``k + k``, the same
+    float), then one ``np.add.reduce`` adds the rows of ``k[:4]`` in order,
+    as ``((k1 + 2 k2) + 2 k3) + k4``, starting from -0.0, the identity that
+    keeps every zero's sign. Each new state goes into the one of two
+    buffers, ``y0`` and a spare, that the current state is not in.
     """
     k1, k2, k3, k4, point, total = k[:6]
-    rhs(np.add(y, np.multiply(k1, 0.5 * h, point), point), k2)
-    rhs(np.add(y, np.multiply(k2, 0.5 * h, point), point), k3)
-    rhs(np.add(y, np.multiply(k3, h, point), point), k4)
-    np.add(k1, np.add(k2, k2, total), total)
-    total += np.add(k3, k3, point)
-    total += k4
-    y_new = y + np.multiply(total, h / 6.0, total)
-    return y_new, 0.0, evaluate(y_new)
+    doubled, weighted, spare = k[1:3], k[:4], np.empty_like(y0)
+
+    def step(y, h):
+        nonlocal spare
+        rhs(np.subtract(y, np.multiply(k1, 0.5 * h, point), point), k2)
+        rhs(np.subtract(y, np.multiply(k2, 0.5 * h, point), point), k3)
+        rhs(np.subtract(y, np.multiply(k3, h, point), point), k4)
+        np.add(doubled, doubled, doubled)
+        np.add.reduce(weighted, axis=0, out=total, initial=-0.0)
+        y_new, spare = np.subtract(y, np.multiply(total, h / 6.0, total), spare), y
+        return y_new, 0.0, evaluate(y_new)
+
+    return step
 
 
 # Dormand–Prince 5(4) (J. Comput. Appl. Math. 6, 1980; scipy's RK45). Stage
@@ -363,8 +386,8 @@ def _dopri_step(y, h, k, rhs, evaluate):
     """
     hA, flat = h * _DP_A, k.reshape(len(k), -1)  # flat: the stages as rows
     for i in range(1, 6):
-        rhs(y + (hA[i, :i] @ flat[:i]).reshape(y.shape), k[i])
-    y_new = y + (hA[6] @ flat[:6]).reshape(y.shape)
+        rhs(y - (hA[i, :i] @ flat[:i]).reshape(y.shape), k[i])
+    y_new = y - (hA[6] @ flat[:6]).reshape(y.shape)
     state = evaluate(y_new)
     return y_new, _error_ratio((h * _DP_E) @ flat, y, y_new), state
 
@@ -399,7 +422,8 @@ class _StiffnessTest:
 # L-stable, stiffly accurate Rosenbrock pair of order 4(3). With W = I / (h
 # gamma) - J and J the Jacobian at y, stage i solves W K_i = f(y + _RO_A[i]
 # @ K) + (_RO_C[i] / h) @ K. Stage 6's point is stage 5's plus K_5, and
-# y_new is stage 6's point plus K_6, so K_6 is the error estimate.
+# y_new is stage 6's point plus K_6, so K_6 is the error estimate. As the
+# stages hold -f, ``_rodas_step`` solves for -K_i, by the same W.
 _RO_GAMMA = 0.25
 _RO_A = np.array([
     [0, 0, 0, 0, 0],
@@ -423,7 +447,7 @@ _RO_C = np.array([
 def _rodas_step(y, h, k, rhs, evaluate, jacobian):
     """One RODAS4 step, given the Jacobian at ``y`` as ``(p, B, H)`` (``_w_solver``'s).
 
-    The velocities at the stage points go into ``k[1:6]``. Its error ratio
+    Minus the velocities at the stage points go into ``k[1:6]``. Its error ratio
     is that of ``K_6``; it is infinite when ``W`` cannot be solved, so that
     the step is retried smaller.
     """
@@ -435,9 +459,9 @@ def _rodas_step(y, h, k, rhs, evaluate, jacobian):
     flat = K.reshape(6, -1)
     K[0] = solve(k[0])
     for i in range(1, 6):
-        f = rhs(y + (_RO_A[i, :i] @ flat[:i]).reshape(y.shape), k[i])
+        f = rhs(y - (_RO_A[i, :i] @ flat[:i]).reshape(y.shape), k[i])
         K[i] = solve(f + ((_RO_C[i, :i] / h) @ flat[:i]).reshape(y.shape))
-    y_new = y + (_RO_A[5] @ flat[:5]).reshape(y.shape) + K[5]
+    y_new = y - (_RO_A[5] @ flat[:5]).reshape(y.shape) - K[5]
     state = evaluate(y_new)
     return y_new, _error_ratio(flat[5], y, y_new), state
 
@@ -447,22 +471,27 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False, on_row=None):
 
     The state ``y`` is ``y0`` with xi's row appended, from 0, and is recorded
     as the layers ``y[:-1]`` and xi ``y[-1]``. The first flow hook,
-    ``factors(y, p)``, writes the velocity's factors P at ``y0``'s rows into
-    the run's buffer ``p``, whose last row stays 1, and returns theta as a
-    fresh array, which the loss may keep. ``rhs(y, out)`` writes the
-    velocity at ``y`` into ``out``, a row of the stage buffer ``k``.
+    ``factors(y, out)``, reads the first ``len(y0)`` rows of ``y``, writes the
+    velocity's factors P there into ``out``, the rows ``p[:-1]`` of the run's
+    buffer ``p``, whose last row stays 1, and returns theta as a fresh array,
+    which the loss may keep. ``rhs(y, out)`` writes ``p * grad L(theta)``,
+    minus the velocity at ``y``, into ``out``, a row of the stage buffer
+    ``k``, and every stepper subtracts its stages.
 
-    The steppers share one protocol: ``step(y, h, k, rhs, evaluate)``
-    starts with the velocity at ``y`` in ``k[0]``, writes its other stages
-    into rows of ``k`` by ``rhs``, evaluates the loss at its new point once,
-    by ``evaluate``, which leaves the velocity there in ``k[-1]``, and
-    returns ``(y_new, error_ratio, (theta, value, gradient))``. A step with
-    ratio at most 1 is accepted and hands ``k[-1]`` on as the next ``k[0]``
-    (FSAL). Fixed mode's RK4 steps cost three ``gradient`` calls and one
-    ``value_and_gradient``, adaptive mode's steps five and one per attempt,
-    after which the controller rescales ``h`` by ``0.9 * ratio ** -(1 / (q
-    + 1))``, clipped to [0.2, 5], with q the order of the step's error
-    estimate. ``_error_ratio`` leaves xi's row out of the norm.
+    The steppers share one protocol: ``step(y, h)`` starts with the stage
+    at ``y`` in ``k[0]``, writes its other stages into rows of ``k`` by
+    ``rhs``, evaluates the loss at its new point once, by ``evaluate``,
+    which leaves the stage there in ``k[-1]``, and returns ``(y_new,
+    error_ratio, (theta, value, gradient))``. A step with ratio at most 1
+    is accepted and hands ``k[-1]`` on as the next ``k[0]`` (FSAL). Fixed
+    mode's RK4 stepper, built once per run, writes each new state into the
+    one of two reused buffers that the current state is not in, so a state
+    lives until the step after next; its steps cost three ``gradient``
+    calls and one ``value_and_gradient``. Adaptive mode's steps cost five
+    and one per attempt, after which the controller rescales ``h`` by
+    ``0.9 * ratio ** -(1 / (q + 1))``, clipped to [0.2, 5], with q the
+    order of the step's error estimate. ``_error_ratio`` leaves xi's row
+    out of the norm.
 
     The switch rule: adaptive runs start on Dormand–Prince (q = 4). When
     the loss has ``hessian(theta)``, every accepted step is scored by
@@ -474,64 +503,69 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False, on_row=None):
 
     from the second hook, ``jacobian(y[:-1]) -> (dtheta/dy, dP/dy)``: at
     ``y0``'s m rows, an ``(m, d)`` array and one ``(m, m)`` block per
+    coordinate. P is dtheta/dy, as for any map that acts coordinate by
     coordinate. Xi's row, on which nothing depends, is ``-H
     diag(dtheta/dy)``, so the buffers ``q``, ``right`` and ``B_xi`` take
-    ``[P; 1]`` (from ``factors``), ``[dtheta/dy; 0]`` and the blocks times
-    g with a zero row and column. With the Hessian they are taken once per
-    accepted state, and each attempt builds one ``_w_solver`` from them. A
-    run that never turns stiff keeps every float of a Dormand–Prince run.
-    The step floor binds only after a rejected step. The snapshot rule, and
+    ``[dtheta/dy; 1]``, ``[dtheta/dy; 0]`` and the blocks times g with a
+    zero row and column. With the Hessian they are taken once per accepted
+    state, and each attempt builds one ``_w_solver`` from them. A run that
+    never turns stiff keeps every float of a Dormand–Prince run. The step
+    floor binds only after a rejected step. The snapshot rule, and
     ``on_row``, are ``_Columns``'s.
     """
+    gradient, hessian = loss.gradient, getattr(loss, "hessian", None)
     value_and_gradient = getattr(loss, "value_and_gradient", None)
     if value_and_gradient is None:
         def value_and_gradient(theta):
-            return loss.value(theta), loss.gradient(theta)
-    hessian = getattr(loss, "hessian", None)
+            return loss.value(theta), gradient(theta)
 
     def rhs(y, out):
-        return np.multiply(p, -loss.gradient(factors(y, p)), out)
+        return np.multiply(p, gradient(factors(y, p_rows)), out)
 
     def evaluate(y):
-        theta = factors(y, p)
+        theta = factors(y, p_rows)
         value, g = value_and_gradient(theta)
-        np.multiply(p, -g, k[-1])
+        np.multiply(p, g, k_last)
         return theta, value, g
 
-    def rodas_step(y, h, k, rhs, evaluate):  # y is the accepted state, at theta and g
+    def dopri_step(y, h):
+        return _dopri_step(y, h, k, rhs, evaluate)
+
+    def rodas_step(y, h):  # y is the accepted state, at theta and g
         nonlocal jac
         if jac is None:  # once per accepted state: a retry from y reuses it
-            factors(y, q)
             right[:-1], curvature = jacobian(y[:-1])
+            q[:-1] = right[:-1]
             np.multiply(curvature, g[:, None, None], B_xi[:, :-1, :-1])
             jac = (q, right, B_xi, hessian(theta))
         return _rodas_step(y, h, k, rhs, evaluate, jac)
 
     adaptive = ctrl.mode == "adaptive"
-    step, exponent = (_dopri_step if adaptive else _rk4_step), -0.2
     stiffness = _StiffnessTest() if adaptive and hessian is not None else None
-    t, h, jac = 0.0, ctrl.h, None
+    t, h, jac, exponent = 0.0, ctrl.h, None, -0.2
     y = np.vstack([y0, np.zeros((1, y0.shape[1]))])
     k, p = np.empty((len(_DP_A), *y.shape)), np.ones_like(y)
+    k_first, k_last, p_rows = k[0], k[-1], p[:-1]
     q, right, B_xi = np.ones_like(y), np.zeros_like(y), np.zeros((y.shape[1], len(y), len(y)))
+    step = dopri_step if adaptive else _rk4_stepper(y, k, rhs, evaluate)
     optimum = getattr(loss, "optimal_value", 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         theta, val, g = evaluate(y)
-        k[0] = k[-1]
-        columns = _Columns((t, y[:-1], theta, y[-1], val, g), ctrl, on_row)
+        k_first[...] = k_last
+        columns = _Columns((t, y, theta, val, g), ctrl, on_row)
         while (h := _next_step(t, h, ctrl.t_max)) is not None:
-            y_new, ratio, state = step(y, h, k, rhs, evaluate)
+            y_new, ratio, state = step(y, h)
             if ratio <= 1.0:
                 y, t = y_new, t + h
                 theta, val, g = state
                 jac = None
                 _guard(y, theta, t, h, positive)
-                columns.add((t, y[:-1], theta, y[-1], val, g))
+                columns.add(t, y, theta, val, g)
                 if ctrl.stop_gap is not None and val - optimum <= ctrl.stop_gap:
                     break
                 if stiffness is not None and stiffness.stiff(k):
                     step, exponent, stiffness = rodas_step, -0.25, None
-                k[0] = k[-1]
+                k_first[...] = k_last
             if adaptive:  # the step-size controller
                 factor = 5.0 if ratio == 0.0 else 0.9 * ratio ** exponent
                 h *= min(max(factor, 0.2), 5.0)

@@ -50,22 +50,24 @@ EIG_CUTOFF = 1e-12
 def product_factors(num_layers: int, shape):
     """The ``factors(v, out) -> theta`` hook over ``num_layers`` slices of ``shape``.
 
-    It writes the leave-one-out products of ``v[:L]`` into ``out[:L]`` and
-    returns theta as a fresh array, without division: ``prefix[j]``, the
-    product of slices ``0..j-1``, and ``suffix[j]``, that of slices ``L-1``
-    down to ``j+1``, are each one ``np.multiply.accumulate`` into a reused
-    buffer, ``out = prefix * suffix`` and theta is ``prefix[-1] * v[L-1]``:
-    every float is that of a sequential prefix/suffix loop.
+    It writes the leave-one-out products of ``v[:L]`` into ``out``, an
+    ``(L, *shape)`` array, and returns theta as a fresh array, without
+    division: ``prefix[j]``, the product of slices ``0..j-1`` (theta for j
+    = L), and ``suffix[j]``, that of slices ``L-1`` down to ``j+1``, are
+    each one ``np.multiply.accumulate`` into a reused buffer, and ``out =
+    prefix[:L] * suffix``: every float is that of a sequential prefix/suffix
+    loop. Only ``v`` is sliced per call; the buffers' views are taken once.
     """
     L = num_layers
-    prefix, suffix = np.ones((L, *shape)), np.ones((L, *shape))
-    prefix_rows, suffix_rows, last = prefix[1:], suffix[-2::-1], prefix[-1, ...]  # views
+    prefix, suffix = np.ones((L + 1, *shape)), np.ones((L, *shape))
+    prefix_rows, prefix_head, theta = prefix[1:], prefix[:L], prefix[L]  # views
+    suffix_rows = suffix[-2::-1]
 
     def factors(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply.accumulate(v[:L - 1], axis=0, out=prefix_rows)
+        np.multiply.accumulate(v[:L], axis=0, out=prefix_rows)
         np.multiply.accumulate(v[L - 1:0:-1], axis=0, out=suffix_rows)
-        np.multiply(prefix, suffix, out[:L])
-        return last * v[L - 1]
+        np.multiply(prefix_head, suffix, out)
+        return theta.copy()
 
     return factors
 
@@ -113,14 +115,16 @@ def check_tied(u0, num_layers) -> tuple[np.ndarray, int]:
 
 def tied_hooks(num_layers: int, shape):
     """The tied flow's hooks ``(factors, jacobian)`` on the row ``v[:1] = [u]`` of ``shape``:
-    both take ``P = L u^(L-1)`` by one expression, ``factors`` returns theta as the product
-    of L copies of u in a reused buffer, ``jacobian`` gives ``([P], L (L-1) u^(L-2))``."""
+    both take ``P = L u^(L-1)`` by one expression, ``factors`` writes it into ``out``, one
+    row, and returns theta as the product of L copies of u in a reused buffer, ``jacobian``
+    gives ``([P], L (L-1) u^(L-2))``."""
     L = num_layers
     copies = np.empty((L, *shape))
 
     def factors(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply(L, v[:1] ** (L - 1), out[:1])
-        copies[...] = v[0]
+        u = v[:1]
+        np.multiply(L, u ** (L - 1), out)
+        np.copyto(copies, u)
         return theta_of_layers(copies)
 
     def jacobian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,6 +190,8 @@ class QuadraticLoss:
     system is the minimum-L2 interpolator. The gradient's ``2 X^T`` is kept
     as a transposed view of ``2 X``, the layout of ``X.T``, so that BLAS
     sums in the same order and every gradient is the float ``2 (X^T r)``.
+    Its products go through ``np.dot``: the BLAS calls of ``@``, without
+    its ufunc dispatch.
     The constant Hessian ``2 X^T X`` is built, read-only, at the first
     ``hessian`` call.
     """
@@ -245,15 +251,15 @@ class QuadraticLoss:
         return theta
 
     def value(self, theta: np.ndarray) -> float:
-        r = self.X @ self._check(theta) - self.y
-        return float(r @ r)
+        r = np.dot(self.X, self._check(theta)) - self.y
+        return float(np.dot(r, r))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self._two_xt @ (self.X @ self._check(theta) - self.y)
+        return np.dot(self._two_xt, np.dot(self.X, self._check(theta)) - self.y)
 
     def value_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        r = self.X @ self._check(theta) - self.y
-        return float(r @ r), self._two_xt @ r
+        r = np.dot(self.X, self._check(theta)) - self.y
+        return float(np.dot(r, r)), np.dot(self._two_xt, r)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """``2 X^T X``, the same read-only array at every ``theta``."""

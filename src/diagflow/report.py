@@ -126,7 +126,9 @@ class ForkedCall:
 
 def _run_child(source, sink, fn, args: tuple) -> None:
     """A ``ForkedCall`` child: pickle ``(True, fn(*args))`` or ``(False, its
-    exception)`` into ``sink``; leave by ``os._exit``, with status 0 once it is sent."""
+    exception)`` into ``sink``; leave by ``os._exit``, with status 0 once it is sent.
+    When the parent's end is closed, the send fails and the child exits with
+    status 1 without a word: there is no one left to tell."""
     status = 1
     try:
         source.close()  # the parent's end: with the parent gone, a write fails, not blocks
@@ -137,6 +139,8 @@ def _run_child(source, sink, fn, args: tuple) -> None:
         pickle.dump(outcome, sink)
         sink.close()
         status = 0
+    except BrokenPipeError:  # raised by sending only: fn's own is its outcome
+        pass
     except BaseException:
         import traceback  # not at the top, where it adds 0.1-0.3 MB to peak RSS
         traceback.print_exc()

@@ -37,7 +37,7 @@ from diagflow import (
     Trajectory,
 )
 from diagflow.experiments import FLOW_LIMIT_GAP, GAP_TARGET, _map
-from diagflow.report import ChildError
+from diagflow.report import ChildError, ForkedCall
 
 
 def test_pl_constant_identity_design():
@@ -611,6 +611,28 @@ def test_map_says_that_a_worker_could_not_send_its_results(monkeypatch, capfd):
     with pytest.raises(ChildError, match=r"failed \(exit status 1\)"):
         _map(lambda k: lambda: k, [0, 1])  # a closure does not pickle
     assert "Can't pickle" in capfd.readouterr().err  # the child's traceback
+
+
+def test_a_child_whose_parent_end_is_closed_exits_with_status_1_and_prints_nothing(capfd):
+    # the parent's end of the result pipe closes before the child sends: the
+    # send fails with EPIPE, and the child, with no one left to tell, exits
+    # with status 1 and no traceback
+    go_read, go_write = os.pipe()
+
+    def wait_for_go():
+        os.close(go_write)  # so that the read ends if the parent never writes
+        return os.read(go_read, 1)
+
+    try:
+        call = ForkedCall("test child", wait_for_go)
+        call._source.close()
+        os.write(go_write, b"x")
+        _, status = os.waitpid(call.pid, 0)
+    finally:
+        os.close(go_read)
+        os.close(go_write)
+    assert os.waitstatus_to_exitcode(status) == 1
+    assert capfd.readouterr().err == ""
 
 
 class _UnpicklableError(RuntimeError):

@@ -223,6 +223,39 @@ def test_stop_gap_ends_run_early():
     assert traj.times[-1] < 1e4
 
 
+@pytest.mark.parametrize("flow", ["layers", "tied"])
+def test_one_rk4_step_is_the_textbook_sum_bit_for_bit(flow):
+    # the driver sums its stages by one np.add.reduce over rows; that must be
+    # y + (h/6) (k1 + (k2 + k2) + (k3 + k3) + k4), added left to right, with
+    # the velocities k and the state y the layers, then xi's row
+    h = 0.01
+    if flow == "layers":
+        loss = make_problem(10, 8, 1)
+        y0 = init_layers(8, 5, InitScheme("uniform"), seed=11).layers
+        traj = integrate(LayerStack(y0), loss, StepController(h=h, t_max=h))
+        got = np.vstack([traj.layers[1], traj.xi[1]])
+
+        def velocity(s):
+            g = loss.gradient(theta_of_layers(s[:-1]))
+            return np.vstack([-leave_one_out_products(s[:-1]) * g, -g])
+    else:
+        L, loss = 4, make_problem(4, 3, 20, positive=True)
+        y0 = np.array([[0.8, 1.1, 0.9]])
+        traj = integrate_redundant(y0[0], L, loss, StepController(h=h, t_max=h))
+        got = np.vstack([traj.layers[1, :1], traj.xi[1]])
+
+        def velocity(s):
+            g = loss.gradient(theta_of_layers(np.repeat(s[:1], L, axis=0)))
+            return np.vstack([-(L * s[:1] ** (L - 1)) * g, -g])
+    y = np.vstack([y0, np.zeros((1, y0.shape[1]))])
+    k1 = velocity(y)
+    k2 = velocity(y + (h / 2) * k1)
+    k3 = velocity(y + (h / 2) * k2)
+    k4 = velocity(y + h * k3)
+    assert len(traj) == 2
+    assert np.array_equal(got, y + (h / 6) * (k1 + (k2 + k2) + (k3 + k3) + k4))
+
+
 def test_divergence_guard_reports_time():
     loss = QuadraticLoss(np.array([[3.0]]), np.array([0.0]))
     with pytest.raises(DivergenceError) as err:
@@ -261,7 +294,8 @@ def test_divergence_guard_branches(run, h, message):
 @pytest.mark.parametrize("layers", [
     [[np.inf, 1.0], [0.0, 2.0]],             # inf * 0 in one coordinate
     [[1e200, 1.0], [1e200, 2.0], [0.0, 3.0]],  # finite layers whose product overflows, times 0
-], ids=["inf_times_zero", "overflow_times_zero"])
+    [[np.nan, 1.0], [2.0, 2.0]],             # a NaN layer
+], ids=["inf_times_zero", "overflow_times_zero", "nan_layer"])
 def test_guard_rejects_a_nan_theta_as_non_finite(layers):
     # theta is NaN, so neither the fast path nor the bound on |theta| may accept it
     y = np.array(layers)
@@ -273,6 +307,29 @@ def test_guard_rejects_a_nan_theta_as_non_finite(layers):
     assert str(err.value) == "non-finite state at t=0.5; reduce the step size"
     assert (err.value.time, err.value.h) == (0.5, 0.01)
     assert np.isnan(err.value.max_abs_theta)
+
+
+@pytest.mark.parametrize("theta, xi, message, top", [
+    ([1e12, -1e12, 1e12], 0.0, None, None),
+    ([1e200, 1.0, 2.0], 0.0, "integration diverged at t=0.5; reduce the step size", 1e200),
+    ([np.inf, 1.0, 2.0], 0.0, "non-finite state at t=0.5; reduce the step size", np.inf),
+    ([1.0, 1.0, 2.0], np.inf, "non-finite state at t=0.5; reduce the step size", 2.0),
+], ids=["sum_of_squares_above_the_limit", "square_overflows", "inf_theta", "inf_xi"])
+def test_guard_bounds_the_largest_theta_not_its_sum_of_squares(theta, xi, message, top):
+    # the fast path tests theta @ theta against the limit squared; a theta
+    # at the limit whose sum of squares is above it passes, and one whose
+    # square overflows is reported by its largest component
+    y = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [xi, 0.0, 0.0]])  # two layers and xi
+    theta = np.array(theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if message is None:
+            assert np.dot(theta, theta) > DIVERGENCE_LIMIT ** 2
+            _guard(y, theta, 0.5, 0.01, False)
+            return
+        with pytest.raises(DivergenceError) as err:
+            _guard(y, theta, 0.5, 0.01, False)
+    assert str(err.value) == message
+    assert (err.value.time, err.value.h, err.value.max_abs_theta) == (0.5, 0.01, top)
 
 
 def test_adaptive_step_underflow():
@@ -764,8 +821,8 @@ def _one_rodas_step(f, jac, y, h):
     col = np.append(y, 0.0)[:, None]
     k = np.empty((7, *col.shape))
 
-    def rhs(col, out):
-        out[:] = np.append(f(col[:m, 0]), 0.0)[:, None]
+    def rhs(col, out):  # a stage is minus the velocity
+        out[:] = -np.append(f(col[:m, 0]), 0.0)[:, None]
         return out
 
     def evaluate(col_new):
