@@ -19,10 +19,11 @@ Every command builds all of its checks, the diagnostics included, before
 ``main`` writes ``--output`` and then ``--diagnostics``: a run that stops on
 an error before that writes neither file. ``simulate --output`` alone
 formats its CSV while the flow runs, in a forked writer process
-(``report.TrajectoryCsvProcess``) that fills a nameless temporary file;
-``main``'s write step waits for the writer and only then copies that file
-to ``--output``, and a run that fails before that step kills and reaps the
-writer. ``bias`` runs its scales in forked workers, one per usable CPU
+(``report.TrajectoryCsvProcess``) that fills a nameless temporary file.
+The flow and its diagnostics run inside the writer's ``with`` block, whose
+exit waits for the writer once they are built (or kills and reaps it if
+they fail); ``main``'s write step then only copies that file to
+``--output``. ``bias`` runs its scales in forked workers, one per usable CPU
 (``experiments._map``); it writes the same bytes on any number of CPUs. A
 failure raised in writer or worker reaches ``main`` as itself; one that
 dies is a ``report.ChildError`` naming its signal or exit status. No
@@ -37,6 +38,7 @@ init file and out-of-range values included).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -182,18 +184,15 @@ def _print_table(rows: list[tuple[str, str, bool | None]]) -> bool:
 
 def _cmd_simulate(cfg: ExperimentConfig, want_diag: bool, stream: bool):
     """With ``stream``, a forked process formats the CSV while the flow runs;
-    ``write`` waits for it, and a failure here kills it."""
+    leaving its block waits for it, or kills it if the flow fails, and
+    ``write`` copies its finished file."""
     loss, stack0 = cfg.problem()
     idx = locate_min_layers(stack0)
     ctrl = StepController(mode="fixed", h=cfg.step, t_max=cfg.t_max)
     writer = TrajectoryCsvProcess(stack0.dim, stack0.num_layers) if stream else None
-    try:
+    with writer or contextlib.nullcontext():
         traj = integrate(stack0, loss, ctrl, on_row=writer and writer.add)
         diag = build_diagnostics(traj, idx=idx)  # the table reads it, asked for or not
-    except BaseException:
-        if writer:
-            writer.abort()
-        raise
 
     defect = diag.value("conservation", "max_defect")
     rows = [
@@ -212,7 +211,7 @@ def _cmd_simulate(cfg: ExperimentConfig, want_diag: bool, stream: bool):
         pass
     on_manifold = bool(diag.value("manifold", "all_snapshots_on_manifold"))
     rows.append(("snapshots on manifold", str(on_manifold), on_manifold))
-    return writer and writer.finish, diag, rows
+    return writer and writer.write, diag, rows
 
 
 def _cmd_crossings(cfg: ExperimentConfig, want_diag: bool):

@@ -13,6 +13,7 @@ the same floats as one after the other.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -64,45 +65,37 @@ def _map(fn, items: list) -> list:
     With ``w = min(len(items), len(os.sched_getaffinity(0)))`` workers,
     this process runs ``items[0::w]`` and each of ``w - 1`` ``ForkedCall``
     children ``items[i::w]``; one item or one usable CPU forks nothing. A
-    worker stops at its first failing item and sends back its ``(index,
-    result or exception)`` pairs. The results come in item order; if an
-    item failed, the exception of the lowest index is raised, the one that
-    ``[fn(item) for item in items]`` raises. Anything else that goes wrong
-    in this process (a failed fork, an interrupt in its own share, a
-    ``ChildError``) kills and reaps the children before it propagates.
+    worker stops at its first failing item and sends back its values and
+    that exception (``_share``). The values come in item order; if an item
+    failed, the exception of the lowest index is raised, the one that
+    ``[fn(item) for item in items]`` raises. The children live in one
+    ``with`` block, so anything else that goes wrong in this process (a
+    failed fork, an interrupt in its own share, a ``ChildError``) kills and
+    reaps them as it propagates.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}  # Linux's
     w = min(len(items), len(cpus)) or 1
-    children = []
-    try:
-        for i in range(1, w):
-            children.append(ForkedCall("sweep worker", _share, fn, items, i, w))
-        outcomes = _share(fn, items, 0, w)
-        while children:
-            outcomes += children[-1].result()
-            children.pop()
-    except BaseException:
-        for child in children:
-            child.kill()
-        raise
-    outcomes.sort(key=lambda outcome: outcome[0])
-    for _, value in outcomes:
-        if isinstance(value, Exception):
-            raise value
-    return [value for _, value in outcomes]
+    with contextlib.ExitStack() as workers:
+        children = [workers.enter_context(ForkedCall("sweep worker", _share, fn, items, i, w))
+                    for i in range(1, w)]
+        shares = [_share(fn, items, 0, w), *(child.result() for child in children)]
+    # worker i's next index, i + w * len(values), is its failed item's or past the end
+    _, failure = min((i + w * len(values), exc) for i, (values, exc) in enumerate(shares))
+    if failure is not None:
+        raise failure
+    return [shares[k % w][0][k // w] for k in range(len(items))]
 
 
-def _share(fn, items: list, start: int, step: int) -> list:
-    """``(index, fn(item))`` over ``items[start::step]``, up to the first item that
-    raises, whose pair holds the exception."""
-    outcomes = []
-    for k in range(start, len(items), step):
+def _share(fn, items: list, start: int, step: int) -> tuple[list, Exception | None]:
+    """``fn(item)`` over ``items[start::step]`` up to the first item that raises:
+    the values before it and that exception, or all the values and None."""
+    values = []
+    for item in items[start::step]:
         try:
-            outcomes.append((k, fn(items[k])))
+            values.append(fn(item))
         except Exception as exc:
-            outcomes.append((k, exc))
-            break
-    return outcomes
+            return values, exc
+    return values, None
 
 
 @dataclass(frozen=True, eq=False)

@@ -199,10 +199,11 @@ def layer_rhs(stack: LayerStack, loss) -> np.ndarray:
 
 def _guard(y: np.ndarray, theta: np.ndarray, t: float, h: float, positive: bool) -> None:
     # fast path: theta @ theta bounds max |theta|^2 and is NaN or inf when
-    # theta is not finite; a non-finite y fails the second test. A finite
-    # theta whose sum of squares alone exceeds the limit's square passes below.
-    left = positive and (y[:-1] <= 0).any()  # xi, y's last row, may be negative
-    if np.dot(theta, theta) <= _THETA_SQUARED_LIMIT and math.isfinite(y.sum()) and not left:
+    # theta is not finite, as it is under both maps when a layer is not; a
+    # non-finite xi, y's last row, fails the second test. A finite theta
+    # whose sum of squares alone exceeds the limit's square passes below.
+    left = positive and (y[:-1] <= 0).any()  # xi may be negative
+    if np.dot(theta, theta) <= _THETA_SQUARED_LIMIT and math.isfinite(y[-1].sum()) and not left:
         return
     top = float(np.abs(theta).max())
     if not (np.isfinite(y).all() and np.isfinite(theta).all()):

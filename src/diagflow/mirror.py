@@ -43,6 +43,8 @@ class HyperbolicEntropy:
         v0 = np.asarray(v0, dtype=float)
         if u0.shape != v0.shape or u0.ndim != 1:
             raise ValueError("u0 and v0 must be equal-length vectors")
+        if not (np.isfinite(u0).all() and np.isfinite(v0).all()):
+            raise ValueError("u0 and v0 must be finite")
         delta0 = np.abs(u0 ** 2 - v0 ** 2)
         floor = DELTA0_RTOL * np.maximum(u0 ** 2, v0 ** 2)
         if np.any(delta0 <= 0) or np.any(delta0 < floor):

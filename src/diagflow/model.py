@@ -210,6 +210,8 @@ class QuadraticLoss:
             raise ValueError(
                 f"y has shape {y.shape}, expected ({X.shape[0]},)"
             )
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("X and y must be finite")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)

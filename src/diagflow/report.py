@@ -7,7 +7,11 @@ repeated runs are byte-identical. A trajectory CSV is written either at
 once from a ``Trajectory`` (``write_trajectory_csv``) or, while the flow
 runs, by a ``TrajectoryCsvProcess``; both give the same bytes. The
 package forks only in ``ForkedCall``: for that writer and for the sweep
-workers of ``experiments._map``.
+workers of ``experiments._map``. Both are context managers, and each
+child lives in its caller's ``with`` block: ``result()`` waits for it, and
+leaving the block kills and reaps it if it has not been waited for. The
+writer's caller leaves the block once the flow is done, which waits for
+the writer.
 """
 
 from __future__ import annotations
@@ -78,11 +82,11 @@ class ChildError(RuntimeError):
 class ForkedCall:
     """``fn(*args)`` in a forked child, which pickles back its value or exception.
 
-    ``result()`` reads that outcome and reaps the child: it returns the
-    value or raises the exception itself, or a ``ChildError`` naming
-    ``role``, the pid and the signal or exit status of a child that died,
-    failed or sent what does not unpickle. ``kill()`` kills and reaps a
-    child that ``result`` has not reaped. One of the two must be called.
+    A context manager: ``result()`` reads that outcome and reaps the child.
+    It returns the value or raises the exception itself, or a ``ChildError``
+    naming ``role``, the pid and the signal or exit status of a child that
+    died, failed or sent what does not unpickle. Leaving the ``with`` block
+    kills and reaps a child that ``result`` has not reaped.
     """
 
     def __init__(self, role: str, fn, *args):
@@ -97,6 +101,16 @@ class ForkedCall:
         except BaseException:
             self._source.close()
             raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._source.close()
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
     def result(self):
         failure = None
@@ -115,13 +129,6 @@ class ForkedCall:
         if not returned:
             raise value
         return value
-
-    def kill(self) -> None:
-        self._source.close()
-        if self.pid:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
 
 
 def _run_child(source, sink, fn, args: tuple) -> None:
@@ -154,18 +161,19 @@ class TrajectoryCsvProcess:
     ``add`` is ``integrate``'s ``on_row``: it packs each kept row by
     ``_trajectory_rows`` as float64 bytes into a pipe. The child formats
     them by ``write_rows_csv`` into a nameless temporary file, so the bytes
-    are ``write_trajectory_csv``'s; it calls no BLAS. ``finish(path)`` waits
-    for the child, raising its failure, and copies the file to ``path``;
-    ``abort`` kills and reaps it. One of the two must be called; either
-    closes the file, which leaves nothing behind.
+    are ``write_trajectory_csv``'s; it calls no BLAS. A context manager:
+    leaving the block waits for the child and raises its failure, or, when
+    the block raises, kills and reaps it. A failure closes the file, which
+    leaves nothing behind; after a block that succeeded, ``write(path)``
+    copies the file to ``path`` and closes it.
     """
 
     def __init__(self, dim: int, num_layers: int):
         header = _trajectory_header(dim, num_layers)
-        self._child = self._pipe = None
-        self._file = tempfile.TemporaryFile()
-        try:
+        with contextlib.ExitStack() as opened:  # closed again if the fork fails
+            self._file = opened.enter_context(tempfile.TemporaryFile())
             read, self._pipe = os.pipe()
+            opened.callback(os.close, self._pipe)
             # F_SETPIPE_SZ is Linux's, and the system may refuse the size
             with contextlib.suppress(ImportError, AttributeError, OSError):
                 import fcntl
@@ -175,9 +183,7 @@ class TrajectoryCsvProcess:
                                          self._pipe, self._file.fileno(), header)
             finally:
                 os.close(read)
-        except BaseException:
-            self.abort()
-            raise
+            opened.pop_all()
 
     def add(self, row: tuple) -> None:
         t, layers, theta, xi, loss, _ = row
@@ -189,24 +195,23 @@ class TrajectoryCsvProcess:
             self._child.result()  # raises the child's own error
             raise
 
-    def finish(self, path) -> None:
-        try:
-            pipe, self._pipe = self._pipe, None
-            os.close(pipe)
-            self._child.result()
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_) -> None:
+        with contextlib.ExitStack() as failed:
+            failed.enter_context(self._file)
+            with self._child:
+                os.close(self._pipe)
+                if kind is None:
+                    self._child.result()
+                    failed.pop_all()  # the file outlives a block that succeeded
+
+    def write(self, path) -> None:
+        with self._file:
             self._file.seek(0)
             with open(path, "wb") as out:
                 shutil.copyfileobj(self._file, out)
-        finally:
-            self.abort()
-
-    def abort(self) -> None:
-        if self._child:
-            self._child.kill()
-        if self._pipe is not None:
-            os.close(self._pipe)
-            self._pipe = None
-        self._file.close()
 
 
 def _format_records(read: int, write: int, fd: int, header: list[str]) -> None:

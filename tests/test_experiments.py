@@ -568,6 +568,11 @@ def test_map_deals_the_items_out_and_returns_them_in_order(monkeypatch):
         assert [pid for _, pid in results] == [results[k % w][1] for k in range(7)]
         assert len({pid for _, pid in results}) == w == len(forks) + 1
     assert _map(lambda k: k, []) == [] and _map(lambda k: -k, [5]) == [-5]
+    # an exception that fn returns, not raises, is a value like any other
+    for cpus in (1, 2, 3):
+        _on_cpus(monkeypatch, cpus)
+        returned = _map(lambda k: ValueError(k), [1, 2, 3])
+        assert [(type(e), e.args) for e in returned] == [(ValueError, (k,)) for k in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("failing", [{2, 3, 4}, {3, 4}, {1, 5}, {0, 1}],

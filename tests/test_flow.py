@@ -314,7 +314,8 @@ def test_guard_rejects_a_nan_theta_as_non_finite(layers):
     ([1e200, 1.0, 2.0], 0.0, "integration diverged at t=0.5; reduce the step size", 1e200),
     ([np.inf, 1.0, 2.0], 0.0, "non-finite state at t=0.5; reduce the step size", np.inf),
     ([1.0, 1.0, 2.0], np.inf, "non-finite state at t=0.5; reduce the step size", 2.0),
-], ids=["sum_of_squares_above_the_limit", "square_overflows", "inf_theta", "inf_xi"])
+    ([1.0, 1.0, 2.0], np.nan, "non-finite state at t=0.5; reduce the step size", 2.0),
+], ids=["sum_of_squares_above_the_limit", "square_overflows", "inf_theta", "inf_xi", "nan_xi"])
 def test_guard_bounds_the_largest_theta_not_its_sum_of_squares(theta, xi, message, top):
     # the fast path tests theta @ theta against the limit squared; a theta
     # at the limit whose sum of squares is above it passes, and one whose

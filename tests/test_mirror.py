@@ -114,6 +114,10 @@ def test_hyperbolic_rejects_coinciding_magnitudes():
         HyperbolicEntropy(np.array([1.0, 2.0]), np.array([-1.0, 0.5]))
     with pytest.raises(ValueError):
         HyperbolicEntropy(np.array([1.0]), np.array([1.0 + 1e-14]))
+    # a non-finite u0 or v0 would map every xi to NaN
+    for u0, v0 in [([np.nan], [0.0]), ([np.inf], [0.0]), ([1.0], [-np.inf])]:
+        with pytest.raises(ValueError, match="u0 and v0 must be finite"):
+            HyperbolicEntropy(u0, v0)
 
 
 def test_hyperbolic_slope():

@@ -232,6 +232,10 @@ def test_loss_dimension_mismatch():
         loss.gradient(np.zeros(2))
     with pytest.raises(ValueError):
         QuadraticLoss(np.eye(3), np.zeros(4))
+    # one non-finite entry would make optimal_value NaN
+    for X, y in [([[1.0, np.nan]], [0.0]), ([[1.0, 2.0]], [np.inf])]:
+        with pytest.raises(ValueError, match="X and y must be finite"):
+            QuadraticLoss(X, y)
     # float64 arrays, other dtypes and lists get the same message
     for theta in (np.zeros((1, 3)), np.zeros(4, dtype=int), [0.0, 1.0], np.zeros(3)[::2]):
         for call in (loss.value, loss.gradient, loss.value_and_gradient, loss.hessian):

@@ -22,15 +22,18 @@ Per end-to-end metric the output holds each side's runs, median and
 quartiles, the pairs the change won (ties count for neither), the median
 change in percent, and whether the gap between medians exceeds the
 parent's interquartile range. It also holds the failed operations per side,
-the machine facts that ``run.py`` prints, and each side's non-blank line
-counts (per file and in total under ``src/diagflow``, in total under
-``tests``) with the change's delta, so that the source-line delta by module
-comes from the same checkouts as the timings.
+the machine facts that ``run.py`` prints, and each side's line counts with
+the change's delta: non-blank and code lines per file and in total under
+``src/diagflow``, non-blank lines in total under ``tests``. Code lines leave
+out docstrings and comment-only lines, so a change that removes code and
+one that removes prose read apart. The source-line delta by module comes
+from the same checkouts as the timings.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import statistics
@@ -62,25 +65,40 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
 
 
 def source_lines(checkout: Path) -> dict:
-    """Non-blank lines of the ``.py`` files of ``checkout``: per file and in total
-    under ``src/diagflow``, and in total under ``tests``."""
-    def count(path: Path) -> int:
+    """Non-blank and code lines of the ``.py`` files of ``checkout``: per file and in
+    total under ``src/diagflow``, and non-blank lines in total under ``tests``. A code
+    line is a non-blank line outside docstrings that is not only a comment."""
+    def non_blank(path: Path) -> int:
         return sum(1 for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
 
-    src = checkout / "src" / "diagflow"
-    files = {path.relative_to(src).as_posix(): count(path) for path in sorted(src.rglob("*.py"))}
+    def code(path: Path) -> int:
+        text = path.read_text(encoding="utf-8")
+        docs = {n for node in ast.walk(ast.parse(text))
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None
+                for n in range(node.body[0].lineno, node.body[0].end_lineno + 1)}
+        return sum(1 for n, line in enumerate(text.splitlines(), 1)
+                   if line.strip() and not line.strip().startswith("#") and n not in docs)
+
+    paths = sorted((checkout / "src" / "diagflow").rglob("*.py"))
+    names = [path.relative_to(checkout / "src" / "diagflow").as_posix() for path in paths]
+    files = dict(zip(names, map(non_blank, paths)))
+    code_files = dict(zip(names, map(code, paths)))
     return {"total": sum(files.values()), "files": files,
-            "tests": sum(count(path) for path in (checkout / "tests").rglob("*.py"))}
+            "code_total": sum(code_files.values()), "code_files": code_files,
+            "tests": sum(non_blank(path) for path in (checkout / "tests").rglob("*.py"))}
 
 
 def line_delta(parent: dict, change: dict) -> dict:
     """``change - parent`` for each count of ``source_lines``; a file on one side only
     counts 0 on the other."""
-    names = sorted(parent["files"].keys() | change["files"].keys())
-    return {"total": change["total"] - parent["total"],
-            "files": {name: change["files"].get(name, 0) - parent["files"].get(name, 0)
-                      for name in names},
-            "tests": change["tests"] - parent["tests"]}
+    def files(key: str) -> dict:
+        names = sorted(parent[key].keys() | change[key].keys())
+        return {name: change[key].get(name, 0) - parent[key].get(name, 0) for name in names}
+
+    return {"total": change["total"] - parent["total"], "files": files("files"),
+            "code_total": change["code_total"] - parent["code_total"],
+            "code_files": files("code_files"), "tests": change["tests"] - parent["tests"]}
 
 
 def quartiles(runs: list[float]) -> dict:
