@@ -60,13 +60,15 @@ class NewtonError(RuntimeError):
 
 
 def _map(fn, items: list) -> list:
-    """``[fn(item) for item in items]``, the items dealt out over the usable CPUs.
+    """``[fn(item) for item in items]``, the items run side by side on the usable CPUs.
 
-    With ``w = min(len(items), len(os.sched_getaffinity(0)))`` workers,
-    this process runs ``items[0::w]`` and each of ``w - 1`` ``ForkedCall``
-    children ``items[i::w]``; one item or one usable CPU forks nothing. A
-    worker stops at its first failing item and sends back its values and
-    that exception (``_share``). The values come in item order; if an item
+    With ``n = len(items)`` and ``w = min(n, len(os.sched_getaffinity(0)))``
+    workers, this process (worker 0) and ``w - 1`` ``ForkedCall`` children,
+    worker ``i`` starts on item ``n - 1 - i``, for the sweeps list their
+    costliest item last. The other indices go out from ``n - 1 - w`` down to
+    0, each to the first worker that is free, by one token in one pipe
+    (``_share``). One item or one usable CPU forks nothing. Every item runs,
+    even after one has failed; the values come in item order, and if an item
     failed, the exception of the lowest index is raised, the one that
     ``[fn(item) for item in items]`` raises. The children live in one
     ``with`` block, so anything else that goes wrong in this process (a
@@ -74,28 +76,50 @@ def _map(fn, items: list) -> list:
     reaps them as it propagates.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}  # Linux's
-    w = min(len(items), len(cpus)) or 1
+    n = len(items)
+    w = min(n, len(cpus)) or 1
     with contextlib.ExitStack() as workers:
-        children = [workers.enter_context(ForkedCall("sweep worker", _share, fn, items, i, w))
+        token = os.pipe()
+        for fd in token:
+            workers.callback(os.close, fd)
+        os.write(token[1], _index_bytes(n - 1 - w))
+        children = [workers.enter_context(ForkedCall("sweep worker", _share, fn, items,
+                                                     n - 1 - i, token))
                     for i in range(1, w)]
-        shares = [_share(fn, items, 0, w), *(child.result() for child in children)]
-    # worker i's next index, i + w * len(values), is its failed item's or past the end
-    _, failure = min((i + w * len(values), exc) for i, (values, exc) in enumerate(shares))
-    if failure is not None:
-        raise failure
-    return [shares[k % w][0][k // w] for k in range(len(items))]
+        shares = [_share(fn, items, n - 1, token), *(child.result() for child in children)]
+    values, failures = {}, {}
+    for share_values, share_failures in shares:
+        values.update(share_values)
+        failures.update(share_failures)
+    if failures:
+        raise failures[min(failures)]
+    return [values[k] for k in range(n)]
 
 
-def _share(fn, items: list, start: int, step: int) -> tuple[list, Exception | None]:
-    """``fn(item)`` over ``items[start::step]`` up to the first item that raises:
-    the values before it and that exception, or all the values and None."""
-    values = []
-    for item in items[start::step]:
+def _index_bytes(k: int) -> bytes:
+    """Index ``k`` as ``_share``'s token, 8 bytes; any negative ``k`` is -1, none left."""
+    return max(k, -1).to_bytes(8, "little", signed=True)
+
+
+def _share(fn, items: list, k: int, token: tuple[int, int]) -> tuple[dict, dict]:
+    """``fn(items[k])``, then ``fn`` of each index that ``token`` hands out,
+    as ``({index: value}, {index: exception})``.
+
+    ``token`` is the ``(read, write)`` ends of a pipe that holds one token,
+    the next index to run, or -1 once none is left. A worker that is free
+    reads it and writes back the index below, before it runs its item, so
+    no index runs twice and none waits on a busy worker.
+    """
+    read, write = token
+    values, failures = {}, {}
+    while k >= 0:
         try:
-            values.append(fn(item))
+            values[k] = fn(items[k])
         except Exception as exc:
-            return values, exc
-    return values, None
+            failures[k] = exc
+        k = int.from_bytes(os.read(read, 8), "little", signed=True)
+        os.write(write, _index_bytes(k - 1))
+    return values, failures
 
 
 @dataclass(frozen=True, eq=False)

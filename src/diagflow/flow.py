@@ -10,9 +10,11 @@ start on the Dormand–Prince 5(4) pair, whose last stage is the next step's
 first (FSAL), and watch its stages with Hairer's stiffness test. A run
 that fails the test, and whose loss offers ``hessian``, goes on for good
 with RODAS4, an L-stable Rosenbrock pair of order 4(3) that uses the flow's
-Jacobian. That Jacobian is kept in factors, so the linear algebra of a
-RODAS4 attempt grows as d^3 + d L^3 with the coordinates d and layers L,
-not as (L d)^3. Either way an attempted step costs six loss evaluations.
+Jacobian. That Jacobian is kept in factors. A RODAS4 attempt on a state
+of up to ``_DENSE_W_ENTRIES`` entries builds its linear system densely and
+inverts it once; on a larger one, its linear algebra grows as d^3 + d L^3
+with the coordinates d and layers L, not as (L d)^3. Either way an
+attempted step costs six loss evaluations.
 
 Each flow hands the driver two hooks that describe its parameterization
 and take no loss quantity: ``factors(y, p) -> theta`` writes the
@@ -60,6 +62,13 @@ _STIFF_H_LAMBDA, _STIFF_FAILS, _STIFF_RESET = 3.25, 15, 6
 # Snapshots a diagnostic holds at once (``Trajectory.blocks``), so that its
 # temporaries are O(block * L * d) however long the trajectory is.
 SNAPSHOT_BLOCK = 256
+
+# The largest RODAS4 state, in entries, whose W ``_w_solver`` builds and
+# inverts densely. Per attempt (one solver, six solves), dense against
+# Woodbury, medians of 5 by timeit: 32 vs 78 us at 12 entries, 73-74 vs
+# 93-110 us at 40, 88-89 vs 90-98 us at 48, 115 vs 101 us at 56 (2 vCPUs,
+# Python 3.11, numpy 2.4.6, one BLAS thread).
+_DENSE_W_ENTRIES = 48
 
 
 class DivergenceError(RuntimeError):
@@ -171,13 +180,38 @@ def _w_solver(c: float, q: np.ndarray, p: np.ndarray, B: np.ndarray, H: np.ndarr
     On states of shape ``(m, d)`` (m rows of d coordinates), the factored
     Jacobian is ``J = -diag(q) (1 1^T kron H) diag(p) - B``, where ``H`` is
     the loss's d x d Hessian and ``B`` couples only the m entries of one
-    coordinate, as the blocks ``B[i]``. So ``W = A + U_q H U_p^T``, with
-    ``A = c I + B`` block diagonal by coordinate and ``U_q`` (``U_p``) the
-    (m d) x d matrix that takes coordinate i to entry (j, i) with weight
-    ``q[j, i]`` (``p[j, i]``), and the Woodbury identity solves it by d
-    inverses of m x m blocks and one d x d solve: O(d m^3 + d^3) per solver
-    and O(d m^2 + d^2) per solve, where a dense W would take O((m d)^3).
-    Raises ``LinAlgError`` when a block of ``A`` or the d x d system is singular.
+    coordinate, as the blocks ``B[i]``. A state of at most
+    ``_DENSE_W_ENTRIES`` entries takes ``_dense_w_solver``, a larger one
+    ``_woodbury_w_solver``. Raises ``LinAlgError`` when the solver's
+    factorization is singular.
+    """
+    return (_dense_w_solver if p.size <= _DENSE_W_ENTRIES else _woodbury_w_solver)(c, q, p, B, H)
+
+
+def _dense_w_solver(c, q, p, B, H):
+    """``_w_solver`` by one inverse of W, built densely in ``p.ravel()``'s order:
+    O((m d)^3) per solver and one mat-vec per solve."""
+    m, d = p.shape
+    W = q[:, :, None, None] * H[:, None, :] * p               # (m, d, m, d)
+    i = np.arange(d)
+    W[:, i, :, i] += c * np.eye(m) + B
+    w_inv = np.linalg.inv(W.reshape(m * d, m * d))
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        return (w_inv @ r.ravel()).reshape(r.shape)
+
+    return solve
+
+
+def _woodbury_w_solver(c, q, p, B, H):
+    """``_w_solver`` by the Woodbury identity, without forming W.
+
+    ``W = A + U_q H U_p^T``, with ``A = c I + B`` block diagonal by
+    coordinate and ``U_q`` (``U_p``) the (m d) x d matrix that takes
+    coordinate i to entry (j, i) with weight ``q[j, i]`` (``p[j, i]``), so
+    it takes d inverses of m x m blocks and one d x d solve: O(d m^3 + d^3)
+    per solver and O(d m^2 + d^2) per solve. A singular block of ``A`` raises,
+    even where W is not singular.
     """
     m, d = p.shape
     a_inv = np.linalg.inv(c * np.eye(m) + B)           # (d, m, m)

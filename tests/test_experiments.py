@@ -560,13 +560,17 @@ def test_sweeps_on_several_cpus_equal_the_serial_sweeps_bit_for_bit(monkeypatch)
 
 
 def test_map_deals_the_items_out_and_returns_them_in_order(monkeypatch):
+    # worker i starts on item n - 1 - i, this process (worker 0) on the last;
+    # the other items go to whichever worker is free, so only the first
+    # items' workers are fixed
     for cpus in (1, 2, 3, 8):
         forks = _on_cpus(monkeypatch, cpus)
         results = _map(lambda k: (k, os.getpid()), list(range(7)))
         w = min(cpus, 7)
         assert [k for k, _ in results] == list(range(7))
-        assert [pid for _, pid in results] == [results[k % w][1] for k in range(7)]
-        assert len({pid for _, pid in results}) == w == len(forks) + 1
+        firsts = [pid for _, pid in results[7 - w:]]
+        assert firsts[-1] == os.getpid() and len(set(firsts)) == w == len(forks) + 1
+        assert {pid for _, pid in results} == set(firsts)
     assert _map(lambda k: k, []) == [] and _map(lambda k: -k, [5]) == [-5]
     # an exception that fn returns, not raises, is a value like any other
     for cpus in (1, 2, 3):
@@ -575,10 +579,52 @@ def test_map_deals_the_items_out_and_returns_them_in_order(monkeypatch):
         assert [(type(e), e.args) for e in returned] == [(ValueError, (k,)) for k in (1, 2, 3)]
 
 
+def test_map_starts_this_process_on_the_last_item(monkeypatch):
+    # the sweeps list their costliest item last; a child can start only
+    # after its fork, so this process, first to start, takes that item
+    for cpus in (1, 2, 3):
+        _on_cpus(monkeypatch, cpus)
+        started = []
+        _map(lambda k: started.append(k), list(range(5)))
+        assert started[0] == 4  # what this process ran, in its order
+
+
+def test_map_runs_every_item_after_an_earlier_one_fails(monkeypatch, tmp_path):
+    # this process fails on its first item, the last one; the others still
+    # run, on every worker, and the lowest failing index is raised
+    ran = tmp_path / "ran"
+
+    def fn(k):
+        with open(ran, "a", encoding="utf-8") as fh:  # one short append per item
+            fh.write(f"{k}\n")
+        if k in (2, 5):
+            raise StepUnderflowError(float(k), 1e-20)
+        return k
+
+    for cpus in (1, 2, 3):
+        _on_cpus(monkeypatch, cpus)
+        ran.write_text("")
+        with pytest.raises(StepUnderflowError) as info:
+            _map(fn, list(range(6)))
+        assert info.value.time == 2.0
+        assert sorted(map(int, ran.read_text().split())) == list(range(6))
+
+
+def test_map_returns_many_items_in_order(monkeypatch):
+    # more indices than a pipe holds (64 KiB is 8,192 of them) go out one
+    # token at a time, so no write waits on a reader
+    items = list(range(20_000))
+    for cpus in (1, 2, 3):
+        _on_cpus(monkeypatch, cpus)
+        assert _map(lambda k: -k, items) == [-k for k in items]
+
+
 @pytest.mark.parametrize("failing", [{2, 3, 4}, {3, 4}, {1, 5}, {0, 1}],
                          ids=["second_child", "parent_before_child", "first_child", "parent"])
 def test_map_raises_the_failure_of_the_lowest_index(monkeypatch, failing):
-    # three workers: this process runs items 0 and 3, the children 1, 4 and 2, 5
+    # three workers: this process starts on item 5 and the children on 4 and
+    # 3; items 2, 1 and 0 go to whichever worker is free first. Each case
+    # fails on more than one item, and the lowest index's exception is raised
     _on_cpus(monkeypatch, 3)
 
     def fn(k):
@@ -647,9 +693,10 @@ class _UnpicklableError(RuntimeError):
 
 def test_map_says_that_a_worker_sent_what_does_not_unpickle(monkeypatch):
     _on_cpus(monkeypatch, 2)
+    parent = os.getpid()
 
     def fn(k):
-        if k:
+        if os.getpid() != parent:
             raise _UnpicklableError("stalled", 1e-9)
         return k
 

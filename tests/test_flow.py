@@ -30,15 +30,19 @@ from diagflow import (
 from diagflow import flow as flow_module
 from diagflow.experiments import FLOW_LIMIT_GAP, GAP_TARGET
 from diagflow.flow import (
+    _DENSE_W_ENTRIES,
     _MIN_STEP_FRACTION,
+    _RO_GAMMA,
     _STIFF_FAILS,
     DIVERGENCE_LIMIT,
     SNAPSHOT_BLOCK,
+    _dense_w_solver,
     _error_ratio,
     _guard,
     _rodas_step,
     _StiffnessTest,
     _w_solver,
+    _woodbury_w_solver,
 )
 from diagflow.model import product_jacobian, tied_hooks
 
@@ -701,13 +705,15 @@ def _dense_jacobian(q, p, B, H):
 
 
 def _check_factors(q, p, B, H, velocity, y):
-    """The factors give ``velocity``'s Jacobian at ``y``, and ``_w_solver`` solves with it."""
+    """The factors give ``velocity``'s Jacobian at ``y``, and both W solvers,
+    whatever the state's size, solve with it."""
     J = _dense_jacobian(q, p, B, H)
     np.testing.assert_allclose(J, _central_differences(velocity, y), rtol=1e-6, atol=1e-8)
     c = 3.7  # 1 / (h gamma)
     r = np.random.default_rng(3).standard_normal(y.shape)
-    x = _w_solver(c, q, p, B, H)(r)
-    np.testing.assert_allclose((c * np.eye(y.size) - J) @ x.ravel(), r.ravel(), atol=1e-12)
+    for solver in (_dense_w_solver, _woodbury_w_solver):
+        x = solver(c, q, p, B, H)(r)
+        np.testing.assert_allclose((c * np.eye(y.size) - J) @ x.ravel(), r.ravel(), atol=1e-12)
 
 
 def _jacobian_case(flow, L):
@@ -792,6 +798,49 @@ def test_rodas4_gets_the_jacobian_of_the_whole_state(flow, monkeypatch):
     assert len(handed) > 1
     for y, q, p, B, H in (handed[0], handed[-1]):
         _check_factors(q, p, B, H, velocity, y)
+
+
+@pytest.mark.parametrize("num_layers", [5, 6], ids=["48_entries", "56_entries"])
+def test_w_solver_takes_the_dense_solver_up_to_its_bound(num_layers):
+    # a layer state at d=8 with xi's row has (L + 1) d entries: 48 at L=5
+    # take the dense solver, 56 at L=6 (criterion 9's) the Woodbury one
+    d = 8
+    loss = make_problem(10, d, 2)
+    y = init_layers(d, num_layers, InitScheme("uniform"), seed=3).layers
+    theta = np.prod(y, axis=0)
+    p, curvature = product_jacobian(y)
+    ones = np.ones((1, d))
+    factors = (np.vstack([p, ones]), np.vstack([p, 0 * ones]),
+               np.pad(curvature * loss.gradient(theta)[:, None, None], ((0, 0), (0, 1), (0, 1))),
+               loss.hessian(theta))
+    dense = (num_layers + 1) * d <= _DENSE_W_ENTRIES
+    assert dense == (num_layers == 5)
+    c = 3.7
+    r = np.random.default_rng(4).standard_normal((num_layers + 1, d))
+    x = _w_solver(c, *factors)(r)
+    assert np.array_equal(x, (_dense_w_solver if dense else _woodbury_w_solver)(c, *factors)(r))
+    W = c * np.eye(r.size) - _dense_jacobian(*factors)
+    np.testing.assert_allclose(W @ x.ravel(), r.ravel(), atol=1e-12)
+
+
+def test_a_singular_w_is_a_rejected_rodas_attempt():
+    # y' = y / (h gamma) at a state of one coordinate makes W = I / (h gamma) -
+    # J zero on y's row: the dense inverse raises, and the attempt returns y
+    # with an infinite error ratio, so that the driver retries it smaller
+    h = 0.5
+    c = 1.0 / (h * _RO_GAMMA)
+    y = np.array([[1.0], [0.0]])  # y's row and xi's
+    B = np.zeros((1, 2, 2))
+    B[0, 0, 0] = -c
+    factors = np.zeros_like(y), np.zeros_like(y), B, np.zeros((1, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        _dense_w_solver(c, *factors)
+
+    def rhs(y, out):
+        raise AssertionError("an attempt without a solver evaluates no stage")
+
+    y_new, ratio, state = _rodas_step(y, h, np.zeros((7, 2, 1)), rhs, rhs, factors)
+    assert y_new is y and ratio == np.inf and state is None
 
 
 def test_w_solver_never_forms_the_dense_matrix():
