@@ -133,7 +133,10 @@ class StepController:
 @dataclass(eq=False)
 class Trajectory:
     """Recorded flow: per snapshot the time, layers, theta, dual variable xi,
-    loss and loss gradient; ``optimum`` is the loss's ``optimal_value`` or 0."""
+    loss and loss gradient; ``optimum`` is the loss's ``optimal_value`` or 0.
+    ``tied`` says that the flow was the tied one, ``theta = u**L``, whose L
+    layers are copies of one weight vector: its mobility is L times that of
+    L independent layers with the same values."""
 
     times: np.ndarray    # (K,)
     layers: np.ndarray   # (K, L, d)
@@ -142,6 +145,7 @@ class Trajectory:
     losses: np.ndarray   # (K,)
     grads: np.ndarray    # (K, d)
     optimum: float = 0.0
+    tied: bool = False
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -166,12 +170,13 @@ class Trajectory:
 
         Consecutive blocks share ``overlap`` rows, so every run of
         ``overlap + 1`` neighbouring snapshots lies in exactly one block.
-        An empty trajectory gives one empty block.
+        Each block keeps ``optimum`` and ``tied``. An empty trajectory gives
+        one empty block.
         """
         columns = (self.times, self.layers, self.thetas, self.xi, self.losses, self.grads)
         for start in range(0, max(len(self) - overlap, 1), SNAPSHOT_BLOCK - overlap):
             rows = slice(start, start + SNAPSHOT_BLOCK)
-            yield Trajectory(*(column[rows] for column in columns), optimum=self.optimum)
+            yield Trajectory(*(column[rows] for column in columns), self.optimum, self.tied)
 
 
 def _w_solver(c: float, q: np.ndarray, p: np.ndarray, B: np.ndarray, H: np.ndarray):
@@ -352,13 +357,15 @@ def integrate_redundant(u0: np.ndarray, num_layers: int, loss, ctrl: StepControl
 
     All ``L`` layers share the single weight vector ``u``, so the dynamic is
     ``du/dt = -L * u**(L-1) * grad L(theta)``. Snapshots replicate ``u``
-    across the layer axis. Requires ``u0 > 0`` and an integer L >= 3
+    across the layer axis, and the trajectory is marked ``tied``: the only
+    record that the L rows are one vector, since untied layers may start,
+    and stay, equal. Requires ``u0 > 0`` and an integer L >= 3
     (``model.check_tied``); the flow is aborted if the state leaves the
     positive orthant (which can only happen through discretization error).
     """
     u0, L = check_tied(u0, num_layers)
     traj = _drive(u0[None, :], loss, ctrl, *tied_hooks(L, u0.shape), positive=True)
-    return replace(traj, layers=np.repeat(traj.layers, L, axis=1))
+    return replace(traj, layers=np.repeat(traj.layers, L, axis=1), tied=True)
 
 
 def _rk4_stepper(y0, k, rhs, evaluate):

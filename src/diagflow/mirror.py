@@ -9,7 +9,13 @@ inverts the map from the accumulated dual variable xi to theta:
 
 For deeper untied networks no explicit entropy is computed here; the
 first-order mirror identity is certified directly on trajectories via
-``mirror_residual_general``, which needs no entropy at all.
+``mirror_residual_general``, which needs no entropy at all and holds for
+either flow, untied or tied (``Trajectory.tied``).
+
+A closed-form map says which trajectories it describes by two attributes,
+which are all that ``mirror_residual_closed_form`` checks: ``tied``, the
+flow it belongs to, and ``layers0``, the ``(L, d)`` initial layers it was
+built from. A new map needs both and nothing else from this module.
 
 Entropy normalizations are fixed by the defining identity
 ``grad Q(theta) = dual_scale * xi_from_theta(theta)``; the finite-difference
@@ -33,10 +39,12 @@ class HyperbolicEntropy:
     Built from the initialization: ``delta0 = |u0^2 - v0^2|`` (must be
     strictly positive in every coordinate) and the log-ratio shift
     ``log |(u0 + v0) / (u0 - v0)|``. The dual map sends xi to
-    ``delta0/2 * sinh(2 xi + shift)``.
+    ``delta0/2 * sinh(2 xi + shift)``. It is symmetric in u0 and v0,
+    coordinate by coordinate.
     """
 
     dual_scale = 1.0
+    tied = False
 
     def __init__(self, u0, v0):
         u0 = np.asarray(u0, dtype=float)
@@ -54,6 +62,7 @@ class HyperbolicEntropy:
             )
         self.u0 = u0
         self.v0 = v0
+        self.layers0 = np.stack([u0, v0])
         self.delta0 = delta0
         self.shift = np.log(np.abs((u0 + v0) / (u0 - v0)))
 
@@ -91,8 +100,11 @@ class PowerEntropy:
     ``L(L-2)`` times ``xi_from_theta`` (exposed as ``dual_scale``).
     """
 
+    tied = True
+
     def __init__(self, u0, num_layers: int):
         self.u0, self.num_layers = check_tied(u0, num_layers)
+        self.layers0 = np.tile(self.u0, (self.num_layers, 1))
         self.dual_scale = float(self.num_layers * (self.num_layers - 2))
 
     def _base(self, xi):
@@ -134,34 +146,25 @@ class PowerEntropy:
 
 
 def _check_match(traj: Trajectory, entropy) -> None:
-    u0 = traj.layers[0]
-    if isinstance(entropy, HyperbolicEntropy):
-        if traj.num_layers != 2:
-            raise ValueError("hyperbolic entropy applies to 2-layer trajectories")
-        pairs = (
-            np.allclose(u0[0], entropy.u0) and np.allclose(u0[1], entropy.v0)
-        ) or (
-            np.allclose(u0[0], entropy.v0) and np.allclose(u0[1], entropy.u0)
-        )
-        if not pairs:
-            raise ValueError("entropy was built from a different initialization")
-    elif isinstance(entropy, PowerEntropy):
-        if traj.num_layers != entropy.num_layers:
-            raise ValueError("layer count differs between trajectory and entropy")
-        if np.any(u0 != u0[0]):
-            raise ValueError("trajectory does not come from a tied parameterization")
-        if not np.allclose(u0[0], entropy.u0):
-            raise ValueError("entropy was built from a different initialization")
-    else:
+    """``ValueError`` unless ``entropy`` describes ``traj``: the same flow
+    (``tied``), the same ``(L, d)`` layer shape and, per coordinate, the
+    same initial values in any layer order; ``TypeError`` for an object
+    without ``layers0``."""
+    if not hasattr(entropy, "layers0"):
         raise TypeError(f"unsupported entropy type {type(entropy).__name__}")
+    if traj.tied != entropy.tied:
+        raise ValueError("the entropy belongs to the other flow, tied or untied")
+    if traj.layers.shape[1:] != entropy.layers0.shape:
+        raise ValueError("layer count or dimension differs between trajectory and entropy")
+    if not np.allclose(np.sort(traj.layers[0], axis=0), np.sort(entropy.layers0, axis=0)):
+        raise ValueError("entropy was built from a different initialization")
 
 
 def mirror_residual_closed_form(traj: Trajectory, entropy) -> float:
     """Max over the grid of ``|xi_from_theta(theta(t)) - xi(t)|_inf``.
 
-    Certifies the closed-form mirror identity for a trajectory generated by
-    the matching parameterization (2 untied layers for the hyperbolic map,
-    tied layers for the power map).
+    Certifies the closed-form mirror identity for a trajectory of the flow
+    the map was built for, from its initial layers (``_check_match``).
     """
     _check_match(traj, entropy)
     res = entropy.xi_from_theta(traj.thetas) - traj.xi
@@ -169,12 +172,14 @@ def mirror_residual_closed_form(traj: Trajectory, entropy) -> float:
 
 
 def mirror_residual_general(traj: Trajectory) -> float:
-    """Max residual of the first-order mirror identity, any depth.
+    """Max residual of the first-order mirror identity, either flow.
 
     Evaluates ``|d theta/dt / m(t) + grad L(theta(t))|_inf`` at interior grid
     points, with the time derivative by second-order (non-uniform) central
     differences, ``m`` the mobility diagonal and the recorded ``traj.grads``;
     certifying the identity requires no knowledge of the entropy or the loss.
+    On a tied trajectory ``m`` is L times the mobility of its L recorded
+    copies, since there ``d theta/dt = -L**2 u**(2L-2) grad L``.
     """
     if len(traj) < 3:
         raise ValueError("need at least 3 grid points for central differences")
@@ -185,6 +190,8 @@ def _first_order_residual(traj: Trajectory) -> float:
     t = traj.times
     th = traj.thetas
     m = mobility(traj.layers)
+    if traj.tied:
+        m *= traj.num_layers
     if np.any(m[1:-1] == 0.0):
         raise SingularMobilityError(
             "mobility diagonal vanishes: the mirror residual is undefined where two zero "

@@ -559,6 +559,17 @@ def test_sweeps_on_several_cpus_equal_the_serial_sweeps_bit_for_bit(monkeypatch)
         assert len(forks) == 3 * (cpus - 1)
 
 
+
+def test_bias_rows_say_whether_their_flow_is_tied(monkeypatch):
+    # the flag is a Trajectory field, so it must come back from a forked worker too
+    for cpus in (1, 2):
+        forks = _on_cpus(monkeypatch, cpus)
+        for model, layers, tied in (("two_layer", 2, False), ("redundant", 3, True)):
+            cfg = ExperimentConfig(n=2, dim=4, layers=layers, seed=15, t_max=1e4)
+            rows = run_bias(cfg, alphas=(1.0, 0.5), model=model).rows
+            assert [row.trajectory.tied for row in rows] == [tied, tied]
+        assert len(forks) == 2 * (cpus - 1)
+
 def test_map_deals_the_items_out_and_returns_them_in_order(monkeypatch):
     # worker i starts on item n - 1 - i, this process (worker 0) on the last;
     # the other items go to whichever worker is free, so only the first

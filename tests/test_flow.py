@@ -979,6 +979,18 @@ def test_snapshot_blocks_cover_every_window_once(overlap):
         assert sorted(windows) == [tuple(range(a, a + width)) for a in range(k - width + 1)]
 
 
+
+def test_snapshot_blocks_keep_the_tied_flag():
+    loss = make_problem(4, 3, 9, x_scale=0.5, positive=True)
+    u0, ctrl = np.array([0.9, 1.1, 0.8]), StepController(h=1e-3, t_max=2.0)
+    tied = integrate_redundant(u0, 3, loss, ctrl)
+    untied = integrate(LayerStack(np.tile(u0, (3, 1))), loss, ctrl)
+    assert tied.tied and not untied.tied
+    for traj in (tied, untied):
+        parts = list(traj.blocks(overlap=2))
+        assert len(parts) > 1
+        assert all(part.tied == traj.tied for part in parts)
+
 def _recorded_runs():
     loss = make_problem(5, 3, 16)
     stack0 = init_layers(3, 3, InitScheme("uniform"), seed=17)

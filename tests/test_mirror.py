@@ -12,6 +12,7 @@ from diagflow import (
     SingularMobilityError,
     StepController,
     Trajectory,
+    build_diagnostics,
     init_layers,
     InitScheme,
     integrate,
@@ -261,6 +262,40 @@ def test_closed_form_residual_rejects_mismatches():
     with pytest.raises(TypeError):
         mirror_residual_closed_form(traj, object())
 
+
+
+def _tied_instance():
+    loss = make_problem(4, 3, 9, x_scale=0.5, positive=True)
+    return loss, np.array([0.9, 1.1, 0.8]), StepController(h=1e-3, t_max=2.0)
+
+
+@pytest.mark.parametrize("num_layers", [3, 4, 5])
+def test_general_residual_tied_flow(num_layers):
+    # the tied flow's mobility is L times that of its L recorded copies; with
+    # the copies' mobility the residual read (L - 1) max|g|: 1.45 to 2.43
+    loss, u0, ctrl = _tied_instance()
+    traj = integrate_redundant(u0, num_layers, loss, ctrl)
+    assert mirror_residual_general(traj) <= 1e-4
+    assert build_diagnostics(traj).value("mirror", "general_residual") <= 1e-4
+
+
+@pytest.mark.parametrize("num_layers", [3, 4, 5])
+def test_power_entropy_rejects_an_untied_run_from_tied_layers(num_layers):
+    loss, u0, ctrl = _tied_instance()
+    traj = integrate(LayerStack(np.tile(u0, (num_layers, 1))), loss, ctrl)
+    with pytest.raises(ValueError):
+        mirror_residual_closed_form(traj, PowerEntropy(u0, num_layers))
+
+
+def test_hyperbolic_check_takes_the_layers_in_any_order_per_coordinate():
+    # the map is symmetric in u0 and v0 coordinate by coordinate
+    rng = np.random.default_rng(20)
+    loss = make_problem(6, 4, 21)
+    u, v = random_pair(rng, 4)
+    swap = np.array([True, False, True, False])
+    stack0 = LayerStack(np.stack([np.where(swap, v, u), np.where(swap, u, v)]))
+    traj = integrate(stack0, loss, StepController(t_max=2.0))
+    assert mirror_residual_closed_form(traj, HyperbolicEntropy(u, v)) <= 1e-5
 
 def _euler_two_layer(stack0, loss, h, t_max):
     """Explicit-Euler reference trajectory with the same xi bookkeeping."""
