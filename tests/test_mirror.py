@@ -271,8 +271,7 @@ def _tied_instance():
 
 @pytest.mark.parametrize("num_layers", [3, 4, 5])
 def test_general_residual_tied_flow(num_layers):
-    # the tied flow's mobility is L times that of its L recorded copies; with
-    # the copies' mobility the residual read (L - 1) max|g|: 1.45 to 2.43
+    # the tied flow's mobility is L times that of its L recorded copies
     loss, u0, ctrl = _tied_instance()
     traj = integrate_redundant(u0, num_layers, loss, ctrl)
     assert mirror_residual_general(traj) <= 1e-4
