@@ -23,8 +23,11 @@ gives dtheta/dy and dP/dy for RODAS4. Both flows take both hooks from
 ``model``, where both maps live, so this module only integrates. A stage
 of every stepper is ``P * grad L(theta)``, minus the velocity, written in
 place into a row of the run's stage buffer; the steppers subtract it, so
-no step forms ``-grad L``. A fixed-step run also keeps its states in two
-buffers that it reuses in turn. The accumulated dual variable
+no step forms ``-grad L``. Theta stays in the hook's buffer at a step's
+inner stages and is copied once per new state, the copy that is recorded
+and that the loss may keep. A fixed-step run also keeps its states in two
+buffers that it reuses in turn, and its RK4 step writes its new point's
+stage where the next step reads its first. The accumulated dual variable
 
     xi(t) = -integral_0^t grad L(theta(s)) ds
 
@@ -35,6 +38,7 @@ Only this module calls the loss; the rest reads the ``Trajectory``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -195,17 +199,29 @@ def _w_solver(c: float, q: np.ndarray, p: np.ndarray, B: np.ndarray, H: np.ndarr
 
 def _dense_w_solver(c, q, p, B, H):
     """``_w_solver`` by one inverse of W, built densely in ``p.ravel()``'s order:
-    O((m d)^3) per solver and one mat-vec per solve."""
+    O((m d)^3) per solver and one mat-vec per solve. ``c I + B`` is added as
+    one addend, entry ``[i, a, b]`` to ``W[a, i, b, i]``, through
+    ``_w_blocks``'s index into the flat W."""
     m, d = p.shape
     W = q[:, :, None, None] * H[:, None, :] * p               # (m, d, m, d)
-    i = np.arange(d)
-    W[:, i, :, i] += c * np.eye(m) + B
+    W.reshape(-1)[_w_blocks(m, d)] += c * np.eye(m) + B
     w_inv = np.linalg.inv(W.reshape(m * d, m * d))
 
     def solve(r: np.ndarray) -> np.ndarray:
-        return (w_inv @ r.ravel()).reshape(r.shape)
+        return w_inv.dot(r.ravel()).reshape(r.shape)
 
     return solve
+
+
+@functools.cache
+def _w_blocks(m: int, d: int) -> np.ndarray:
+    """``(d, m, m)`` indices into a flat ``(m, d, m, d)`` array, read-only as every
+    caller shares them: ``[i, a, b]`` is the position of ``[a, i, b, i]``,
+    coordinate i's m x m block."""
+    i, a, b = np.ogrid[:d, :m, :m]
+    index = ((a * d + i) * m + b) * d + i
+    index.setflags(write=False)
+    return index
 
 
 def _woodbury_w_solver(c, q, p, B, H):
@@ -237,12 +253,20 @@ def layer_rhs(stack: LayerStack, loss) -> np.ndarray:
 
 
 def _guard(y: np.ndarray, theta: np.ndarray, t: float, h: float, positive: bool) -> None:
-    # fast path: theta @ theta bounds max |theta|^2 and is NaN or inf when
-    # theta is not finite, as it is under both maps when a layer is not; a
-    # non-finite xi, y's last row, fails the second test. A finite theta
-    # whose sum of squares alone exceeds the limit's square passes below.
-    left = positive and (y[:-1] <= 0).any()  # xi may be negative
-    if np.dot(theta, theta) <= _THETA_SQUARED_LIMIT and math.isfinite(y[-1].sum()) and not left:
+    """Raise ``DivergenceError`` when the state ``y`` at ``theta`` is not finite,
+    ``max |theta|`` exceeds ``DIVERGENCE_LIMIT`` or, when ``positive``, a layer
+    entry is not positive (xi may be negative).
+
+    The fast path passes a state with ``theta . theta + xi . xi`` at most the
+    limit's square, two dot products: the sum bounds ``max |theta|^2`` and is
+    NaN or inf when theta or xi, y's last row, is not finite (theta is not
+    finite under both maps when a layer is not). The slow path below makes
+    every verdict, so a finite state that the sum sends there (theta at the
+    limit with a larger sum of squares, xi above the limit) passes.
+    """
+    xi = y[-1]
+    left = positive and (y[:-1] <= 0).any()
+    if theta.dot(theta) + xi.dot(xi) <= _THETA_SQUARED_LIMIT and not left:
         return
     top = float(np.abs(theta).max())
     if not (np.isfinite(y).all() and np.isfinite(theta).all()):
@@ -372,26 +396,35 @@ def _rk4_stepper(y0, k, rhs, evaluate):
     """Classical RK4 as ``step(y, h)``, built once per run from ``y0`` and
     ``_drive``'s stage buffer ``k``, ``rhs`` and ``evaluate``.
 
-    Its error ratio is 0, so every step is accepted. Stages 2-4 go into
-    ``k[1:4]``, each stage point into ``k[4]``, and the weighted sum into
-    ``k[5]``: ``k[1:3]`` is doubled in place (``2 k`` as ``k + k``, the same
-    float), then one ``np.add.reduce`` adds the rows of ``k[:4]`` in order,
-    as ``((k1 + 2 k2) + 2 k3) + k4``, starting from -0.0, the identity that
-    keeps every zero's sign. Each new state goes into the one of two
-    buffers, ``y0`` and a spare, that the current state is not in.
+    Its error ratio is 0, so every step is accepted, and ``evaluate`` writes
+    the new point's stage straight into ``k[0]``, the next step's first.
+    Stages 2-4 go into ``k[1:4]``, each stage point into ``k[4]``, and the
+    weighted sum into ``k[5]``: ``k[1:3]`` is doubled in place (``2 k`` as
+    ``k + k``, the same float), then one ``np.add.reduce`` adds the rows of
+    ``k[:4]`` in order, as ``((k1 + 2 k2) + 2 k3) + k4``, starting from
+    -0.0, the identity that keeps every zero's sign. The step sizes ``h /
+    2``, ``h`` and ``h / 6`` are 0-d float64 arrays, the values numpy would
+    convert the Python floats to on every call, built once per ``h``. Each
+    new state goes into the one of two buffers, ``y0`` and a spare, that the
+    current state is not in.
     """
     k1, k2, k3, k4, point, total = k[:6]
     doubled, weighted, spare = k[1:3], k[:4], np.empty_like(y0)
+    multiply, subtract, add, add_rows = np.multiply, np.subtract, np.add, np.add.reduce
+    zero, sizes = np.array(-0.0), {}
 
     def step(y, h):
         nonlocal spare
-        rhs(np.subtract(y, np.multiply(k1, 0.5 * h, point), point), k2)
-        rhs(np.subtract(y, np.multiply(k2, 0.5 * h, point), point), k3)
-        rhs(np.subtract(y, np.multiply(k3, h, point), point), k4)
-        np.add(doubled, doubled, doubled)
-        np.add.reduce(weighted, axis=0, out=total, initial=-0.0)
-        y_new, spare = np.subtract(y, np.multiply(total, h / 6.0, total), spare), y
-        return y_new, 0.0, evaluate(y_new)
+        if h not in sizes:
+            sizes[h] = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
+        half, whole, sixth = sizes[h]
+        rhs(subtract(y, multiply(k1, half, point), point), k2)
+        rhs(subtract(y, multiply(k2, half, point), point), k3)
+        rhs(subtract(y, multiply(k3, whole, point), point), k4)
+        add(doubled, doubled, doubled)
+        add_rows(weighted, 0, None, total, False, zero)
+        y_new, spare = subtract(y, multiply(total, sixth, total), spare), y
+        return y_new, 0.0, evaluate(y_new, k1)
 
     return step
 
@@ -415,10 +448,15 @@ _DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 
 
 def _error_ratio(err, y, y_new) -> float:
     """Max-norm of the flat ``err`` over ``_ATOL + _RTOL * max(|y|, |y_new|)``
-    on every row but xi's, the last; infinite when not finite."""
-    scale = _ATOL + _RTOL * np.maximum(np.abs(y[:-1]), np.abs(y_new[:-1])).ravel()
-    ratio = float(np.max(np.abs(err[:scale.size]) / scale))
-    return ratio if np.isfinite(ratio) else np.inf
+    on every row but xi's, the last; infinite when not finite. It works in
+    place in its scale and in ``err``, which it overwrites."""
+    scale = np.abs(y[:-1])
+    np.maximum(scale, np.abs(y_new[:-1]), out=scale)
+    np.add(np.multiply(scale, _RTOL, scale), _ATOL, scale)
+    ratios = err[:scale.size]
+    np.divide(np.abs(ratios, ratios), scale.reshape(-1), ratios)
+    ratio = float(ratios.max())
+    return ratio if math.isfinite(ratio) else math.inf
 
 
 def _dopri_step(y, h, k, rhs, evaluate):
@@ -428,10 +466,10 @@ def _dopri_step(y, h, k, rhs, evaluate):
     """
     hA, flat = h * _DP_A, k.reshape(len(k), -1)  # flat: the stages as rows
     for i in range(1, 6):
-        rhs(y - (hA[i, :i] @ flat[:i]).reshape(y.shape), k[i])
-    y_new = y - (hA[6] @ flat[:6]).reshape(y.shape)
+        rhs(y - hA[i, :i].dot(flat[:i]).reshape(y.shape), k[i])
+    y_new = y - hA[6].dot(flat[:6]).reshape(y.shape)
     state = evaluate(y_new)
-    return y_new, _error_ratio((h * _DP_E) @ flat, y, y_new), state
+    return y_new, _error_ratio((h * _DP_E).dot(flat), y, y_new), state
 
 
 class _StiffnessTest:
@@ -440,6 +478,7 @@ class _StiffnessTest:
     Stages 6 and 7 are velocities at two points ``h * (a7 - a6) @ k``
     apart, so ``|k7 - k6| / |(a7 - a6) @ k|`` estimates h times the
     Jacobian's spectral radius along the step; xi's row, left out, would dilute it.
+    A norm is ``math.sqrt(v.dot(v))``, ``np.linalg.norm``'s formula for a vector.
     """
 
     _A76 = _DP_A[6] - _DP_A[5]
@@ -450,8 +489,8 @@ class _StiffnessTest:
     def stiff(self, k) -> bool:
         """Score the accepted step whose stages are ``k``; True once the run is stiff."""
         flat = k[:, :-1].reshape(len(k), -1)
-        spread = np.linalg.norm(self._A76 @ flat[:6])
-        if np.linalg.norm(flat[6] - flat[5]) > _STIFF_H_LAMBDA * spread > 0:
+        chord, stages = self._A76.dot(flat[:6]), flat[6] - flat[5]
+        if math.sqrt(stages.dot(stages)) > _STIFF_H_LAMBDA * math.sqrt(chord.dot(chord)) > 0:
             self.fails, self.passes = self.fails + 1, 0
         else:
             self.passes += 1
@@ -498,12 +537,12 @@ def _rodas_step(y, h, k, rhs, evaluate, jacobian):
     except np.linalg.LinAlgError:
         return y, np.inf, None
     K = np.empty((6, *y.shape))
-    flat = K.reshape(6, -1)
+    flat, C = K.reshape(6, -1), _RO_C / h
     K[0] = solve(k[0])
     for i in range(1, 6):
-        f = rhs(y - (_RO_A[i, :i] @ flat[:i]).reshape(y.shape), k[i])
-        K[i] = solve(f + ((_RO_C[i, :i] / h) @ flat[:i]).reshape(y.shape))
-    y_new = y - (_RO_A[5] @ flat[:5]).reshape(y.shape) - K[5]
+        f = rhs(y - _RO_A[i, :i].dot(flat[:i]).reshape(y.shape), k[i])
+        K[i] = solve(f + C[i, :i].dot(flat[:i]).reshape(y.shape))
+    y_new = y - _RO_A[5].dot(flat[:5]).reshape(y.shape) - K[5]
     state = evaluate(y_new)
     return y_new, _error_ratio(flat[5], y, y_new), state
 
@@ -515,21 +554,26 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False, on_row=None):
     as the layers ``y[:-1]`` and xi ``y[-1]``. The first flow hook,
     ``factors(y, out)``, reads the first ``len(y0)`` rows of ``y``, writes the
     velocity's factors P there into ``out``, the rows ``p[:-1]`` of the run's
-    buffer ``p``, whose last row stays 1, and returns theta as a fresh array,
-    which the loss may keep. ``rhs(y, out)`` writes ``p * grad L(theta)``,
-    minus the velocity at ``y``, into ``out``, a row of the stage buffer
-    ``k``, and every stepper subtracts its stages.
+    buffer ``p``, whose last row stays 1, and returns theta in a buffer that
+    its next call may overwrite. ``rhs(y, out)`` hands that buffer to
+    ``gradient`` and writes ``p * grad L(theta)``, minus the velocity at
+    ``y``, into ``out``, a row of the stage buffer ``k``, and every stepper
+    subtracts its stages. ``evaluate(y, out=k[-1])`` copies theta once, so
+    the loss may keep the theta of ``value_and_gradient``, and writes the
+    stage at ``y`` into ``out``.
 
     The steppers share one protocol: ``step(y, h)`` starts with the stage
     at ``y`` in ``k[0]``, writes its other stages into rows of ``k`` by
     ``rhs``, evaluates the loss at its new point once, by ``evaluate``,
-    which leaves the stage there in ``k[-1]``, and returns ``(y_new,
-    error_ratio, (theta, value, gradient))``. A step with ratio at most 1
-    is accepted and hands ``k[-1]`` on as the next ``k[0]`` (FSAL). Fixed
-    mode's RK4 stepper, built once per run, writes each new state into the
-    one of two reused buffers that the current state is not in, so a state
-    lives until the step after next; its steps cost three ``gradient``
-    calls and one ``value_and_gradient``. Adaptive mode's steps cost five
+    and returns ``(y_new, error_ratio, (theta, value, gradient))``. An
+    adaptive step leaves the new point's stage in ``k[-1]`` and, when its
+    ratio is at most 1, is accepted and hands ``k[-1]`` on as the next
+    ``k[0]`` (FSAL). Fixed mode's RK4 stepper, built once per run, is
+    always accepted, so it writes that stage into ``k[0]`` itself and no
+    stage is copied; it writes each new state into the one of two reused
+    buffers that the current state is not in, so a state lives until the
+    step after next. Its steps cost three ``gradient`` calls and one
+    ``value_and_gradient``. Adaptive mode's steps cost five
     and one per attempt, after which the controller rescales ``h`` by
     ``0.9 * ratio ** -(1 / (q + 1))``, clipped to [0.2, 5], with q the
     order of the step's error estimate. ``_error_ratio`` leaves xi's row
@@ -561,13 +605,17 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False, on_row=None):
         def value_and_gradient(theta):
             return loss.value(theta), gradient(theta)
 
+    y = np.vstack([y0, np.zeros((1, y0.shape[1]))])
+    k, p = np.empty((len(_DP_A), *y.shape)), np.ones_like(y)
+    k_first, k_last, p_rows = k[0], k[-1], p[:-1]  # views
+
     def rhs(y, out):
         return np.multiply(p, gradient(factors(y, p_rows)), out)
 
-    def evaluate(y):
-        theta = factors(y, p_rows)
+    def evaluate(y, out=k_last):
+        theta = factors(y, p_rows).copy()
         value, g = value_and_gradient(theta)
-        np.multiply(p, g, k_last)
+        np.multiply(p, g, out)
         return theta, value, g
 
     def dopri_step(y, h):
@@ -585,15 +633,11 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False, on_row=None):
     adaptive = ctrl.mode == "adaptive"
     stiffness = _StiffnessTest() if adaptive and hessian is not None else None
     t, h, jac, exponent = 0.0, ctrl.h, None, -0.2
-    y = np.vstack([y0, np.zeros((1, y0.shape[1]))])
-    k, p = np.empty((len(_DP_A), *y.shape)), np.ones_like(y)
-    k_first, k_last, p_rows = k[0], k[-1], p[:-1]
     q, right, B_xi = np.ones_like(y), np.zeros_like(y), np.zeros((y.shape[1], len(y), len(y)))
     step = dopri_step if adaptive else _rk4_stepper(y, k, rhs, evaluate)
     optimum = getattr(loss, "optimal_value", 0.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        theta, val, g = evaluate(y)
-        k_first[...] = k_last
+        theta, val, g = evaluate(y, k_first)
         columns = _Columns((t, y, theta, val, g), ctrl, on_row)
         while (h := _next_step(t, h, ctrl.t_max)) is not None:
             y_new, ratio, state = step(y, h)
@@ -605,12 +649,14 @@ def _drive(y0, loss, ctrl, factors, jacobian, positive=False, on_row=None):
                 columns.add(t, y, theta, val, g)
                 if ctrl.stop_gap is not None and val - optimum <= ctrl.stop_gap:
                     break
+                if not adaptive:  # RK4 left the next first stage in k[0]
+                    continue
                 if stiffness is not None and stiffness.stiff(k):
                     step, exponent, stiffness = rodas_step, -0.25, None
                 k_first[...] = k_last
-            if adaptive:  # the step-size controller
-                factor = 5.0 if ratio == 0.0 else 0.9 * ratio ** exponent
-                h *= min(max(factor, 0.2), 5.0)
-                if ratio > 1.0 and h < _MIN_STEP_FRACTION * max(t, 1.0):
-                    raise StepUnderflowError(t, h)
+            # the step-size controller, which only adaptive steps reach
+            factor = 5.0 if ratio == 0.0 else 0.9 * ratio ** exponent
+            h *= min(max(factor, 0.2), 5.0)
+            if ratio > 1.0 and h < _MIN_STEP_FRACTION * max(t, 1.0):
+                raise StepUnderflowError(t, h)
     return Trajectory(*columns.kept(), optimum=optimum)

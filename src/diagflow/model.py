@@ -22,11 +22,14 @@ can be replaced by any smooth objective that has
   without it the flow stays on Dormand–Prince;
 * ``optimal_value``, the infimum of the loss (optional, defaults to 0).
 
-Every ``theta`` the flow passes is a fresh array that no later step
-writes to, so a loss may keep it (to cache on it, say). Only the flow
-calls the loss: it reads ``optimal_value`` once per run and records the
-value and gradient per snapshot on the ``Trajectory``, which the
-diagnostics and the rate checks read instead.
+The ``theta`` the flow passes to ``value_and_gradient`` and ``hessian``
+(and, for a loss without ``value_and_gradient``, to ``value`` and
+``gradient`` at a new state) is a fresh array that no later step writes
+to, so a loss may keep it (to cache on it, say); the one ``gradient``
+gets at a step's inner stages is a reused buffer, valid during the call
+only. Only the flow calls the loss: it reads ``optimal_value`` once per
+run and records the value and gradient per snapshot on the
+``Trajectory``, which the diagnostics and the rate checks read instead.
 
 Only the solvers that need the design matrix (``pl_constant``,
 ``solve_kkt``, ``run_bias``) require a ``QuadraticLoss``.
@@ -51,23 +54,26 @@ def product_factors(num_layers: int, shape):
     """The ``factors(v, out) -> theta`` hook over ``num_layers`` slices of ``shape``.
 
     It writes the leave-one-out products of ``v[:L]`` into ``out``, an
-    ``(L, *shape)`` array, and returns theta as a fresh array, without
-    division: ``prefix[j]``, the product of slices ``0..j-1`` (theta for j
-    = L), and ``suffix[j]``, that of slices ``L-1`` down to ``j+1``, are
-    each one ``np.multiply.accumulate`` into a reused buffer, and ``out =
-    prefix[:L] * suffix``: every float is that of a sequential prefix/suffix
-    loop. Only ``v`` is sliced per call; the buffers' views are taken once.
+    ``(L, *shape)`` array, and returns theta in a buffer that the next call
+    overwrites, without division: ``prefix[j]``, the product of slices
+    ``0..j-1`` (theta for j = L), and ``suffix[j]``, that of slices ``L-1``
+    down to ``j+1``, are each one ``np.multiply.accumulate`` into a reused
+    buffer, and ``out = prefix[:L] * suffix``: every float is that of a
+    sequential prefix/suffix loop. Only ``v`` is sliced per call; the
+    buffers' views are taken once, and the ufuncs take their arguments by
+    position, the cheapest call.
     """
     L = num_layers
     prefix, suffix = np.ones((L + 1, *shape)), np.ones((L, *shape))
     prefix_rows, prefix_head, theta = prefix[1:], prefix[:L], prefix[L]  # views
     suffix_rows = suffix[-2::-1]
+    accumulate = np.multiply.accumulate
 
     def factors(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply.accumulate(v[:L], axis=0, out=prefix_rows)
-        np.multiply.accumulate(v[L - 1:0:-1], axis=0, out=suffix_rows)
+        accumulate(v[:L], 0, None, prefix_rows)
+        accumulate(v[L - 1:0:-1], 0, None, suffix_rows)
         np.multiply(prefix_head, suffix, out)
-        return theta.copy()
+        return theta
 
     return factors
 
@@ -116,16 +122,16 @@ def check_tied(u0, num_layers) -> tuple[np.ndarray, int]:
 def tied_hooks(num_layers: int, shape):
     """The tied flow's hooks ``(factors, jacobian)`` on the row ``v[:1] = [u]`` of ``shape``:
     both take ``P = L u^(L-1)`` by one expression, ``factors`` writes it into ``out``, one
-    row, and returns theta as the product of L copies of u in a reused buffer, ``jacobian``
-    gives ``([P], L (L-1) u^(L-2))``."""
+    row, and returns theta, the product of L copies of u, in a buffer that the next call
+    overwrites, as ``product_factors`` does; ``jacobian`` gives ``([P], L (L-1) u^(L-2))``."""
     L = num_layers
-    copies = np.empty((L, *shape))
+    copies, theta = np.empty((L, *shape)), np.empty(shape)
 
     def factors(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         u = v[:1]
         np.multiply(L, u ** (L - 1), out)
         np.copyto(copies, u)
-        return theta_of_layers(copies)
+        return np.multiply.reduce(copies, 0, None, theta)  # theta_of_layers, into the buffer
 
     def jacobian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.multiply(L, v ** (L - 1)), (L * (L - 1) * v[0] ** (L - 2))[:, None, None]
@@ -190,8 +196,10 @@ class QuadraticLoss:
     system is the minimum-L2 interpolator. The gradient's ``2 X^T`` is kept
     as a transposed view of ``2 X``, the layout of ``X.T``, so that BLAS
     sums in the same order and every gradient is the float ``2 (X^T r)``.
-    Its products go through ``np.dot``: the BLAS calls of ``@``, without
-    its ufunc dispatch.
+    Its products go through the arrays' bound ``.dot``: the BLAS calls of
+    ``@`` and ``np.dot``, without their dispatch. ``gradient`` and
+    ``value_and_gradient`` test a float64 ``(d,)`` array inline and call
+    ``_check`` only for any other ``theta``.
     The constant Hessian ``2 X^T X`` is built, read-only, at the first
     ``hessian`` call.
     """
@@ -253,15 +261,21 @@ class QuadraticLoss:
         return theta
 
     def value(self, theta: np.ndarray) -> float:
-        r = np.dot(self.X, self._check(theta)) - self.y
-        return float(np.dot(r, r))
+        r = self.X.dot(self._check(theta)) - self.y
+        return float(r.dot(r))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return np.dot(self._two_xt, np.dot(self.X, self._check(theta)) - self.y)
+        if (type(theta) is not np.ndarray or theta.dtype is not _FLOAT64
+                or theta.shape != self._theta_shape):
+            theta = self._check(theta)
+        return self._two_xt.dot(self.X.dot(theta) - self.y)
 
     def value_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        r = np.dot(self.X, self._check(theta)) - self.y
-        return float(np.dot(r, r)), np.dot(self._two_xt, r)
+        if (type(theta) is not np.ndarray or theta.dtype is not _FLOAT64
+                or theta.shape != self._theta_shape):
+            theta = self._check(theta)
+        r = self.X.dot(theta) - self.y
+        return float(r.dot(r)), self._two_xt.dot(r)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """``2 X^T X``, the same read-only array at every ``theta``."""

@@ -165,7 +165,9 @@ class TrajectoryCsvProcess:
     leaving the block waits for the child and raises its failure, or, when
     the block raises, kills and reaps it. A failure closes the file, which
     leaves nothing behind; after a block that succeeded, ``write(path)``
-    copies the file to ``path`` and closes it.
+    copies the file to ``path`` and closes it: by ``os.sendfile``, in the
+    kernel, where the system allows it between files (Linux), and by
+    ``shutil.copyfileobj`` where its first call raises ``OSError``.
     """
 
     def __init__(self, dim: int, num_layers: int):
@@ -208,9 +210,15 @@ class TrajectoryCsvProcess:
                     failed.pop_all()  # the file outlives a block that succeeded
 
     def write(self, path) -> None:
-        with self._file:
-            self._file.seek(0)
-            with open(path, "wb") as out:
+        with self._file, open(path, "wb") as out:
+            sent = 0
+            try:
+                while count := os.sendfile(out.fileno(), self._file.fileno(), sent, 1 << 30):
+                    sent += count
+            except OSError:
+                if sent:
+                    raise
+                self._file.seek(0)
                 shutil.copyfileobj(self._file, out)
 
 

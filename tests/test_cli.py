@@ -61,6 +61,21 @@ def test_simulate_output_is_the_trajectory_csv_of_its_flow(tmp_path, temp_dir, c
     assert not any(temp_dir.iterdir())
 
 
+def test_output_is_copied_the_same_when_sendfile_is_refused(tmp_path, temp_dir, monkeypatch,
+                                                          capsys):
+    # where os.sendfile cannot write to a file, its first call raises and the
+    # copy goes through shutil.copyfileobj instead, with the same bytes
+    def refused(*args):
+        raise OSError(errno.EINVAL, "sendfile to a file")
+
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    assert main(["simulate", "--tmax", "1", "--output", str(ref)]) == 0
+    monkeypatch.setattr(os, "sendfile", refused)
+    assert main(["simulate", "--tmax", "1", "--output", str(out)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    assert not any(temp_dir.iterdir())
+
+
 @pytest.mark.parametrize("reads_all_rows", [True, False],
                          ids=["when_waited_for", "while_the_flow_runs"])
 def test_a_failed_writer_process_is_an_error_and_writes_no_file(tmp_path, temp_dir, monkeypatch,

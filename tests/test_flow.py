@@ -319,16 +319,19 @@ def test_guard_rejects_a_nan_theta_as_non_finite(layers):
     ([np.inf, 1.0, 2.0], 0.0, "non-finite state at t=0.5; reduce the step size", np.inf),
     ([1.0, 1.0, 2.0], np.inf, "non-finite state at t=0.5; reduce the step size", 2.0),
     ([1.0, 1.0, 2.0], np.nan, "non-finite state at t=0.5; reduce the step size", 2.0),
-], ids=["sum_of_squares_above_the_limit", "square_overflows", "inf_theta", "inf_xi", "nan_xi"])
+    ([1.0, 1.0, 2.0], 1e13, None, None),
+], ids=["sum_of_squares_above_the_limit", "square_overflows", "inf_theta", "inf_xi", "nan_xi",
+        "finite_xi_above_the_limit"])
 def test_guard_bounds_the_largest_theta_not_its_sum_of_squares(theta, xi, message, top):
-    # the fast path tests theta @ theta against the limit squared; a theta
-    # at the limit whose sum of squares is above it passes, and one whose
-    # square overflows is reported by its largest component
+    # the fast path tests theta @ theta + xi @ xi against the limit squared;
+    # a theta at the limit whose sum of squares is above it passes, as does a
+    # finite xi above the limit, and a theta whose square overflows is
+    # reported by its largest component
     y = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [xi, 0.0, 0.0]])  # two layers and xi
     theta = np.array(theta)
     with np.errstate(over="ignore", invalid="ignore"):
         if message is None:
-            assert np.dot(theta, theta) > DIVERGENCE_LIMIT ** 2
+            assert np.dot(theta, theta) + np.dot(y[-1], y[-1]) > DIVERGENCE_LIMIT ** 2
             _guard(y, theta, 0.5, 0.01, False)
             return
         with pytest.raises(DivergenceError) as err:
@@ -628,6 +631,38 @@ class _CountingLoss:
         return self._loss.hessian(theta)
 
 
+class _KeepingLoss(_CountingLoss):
+    """A ``_CountingLoss`` with ``hessian`` that keeps every theta handed to
+    ``value_and_gradient``, with a copy taken at the call."""
+
+    def __init__(self, loss):
+        super().__init__(loss, hessian=True)
+        self.kept = []
+
+    def value_and_gradient(self, theta):
+        self.kept.append((theta, theta.copy()))
+        return super().value_and_gradient(theta)
+
+
+@pytest.mark.parametrize("ctrl", [
+    StepController(h=1e-2, t_max=5.0, max_points=10**6),
+    StepController(mode="adaptive", t_max=100.0, max_points=10**6),
+], ids=["fixed", "adaptive_to_rodas4"])
+def test_a_loss_may_keep_every_theta_of_value_and_gradient(ctrl):
+    # the flow passes value_and_gradient a fresh theta per new state and
+    # never writes to it again; the adaptive run switches to RODAS4 between
+    # t = 50 and 100, and its kept thetas include rejected attempts
+    loss = _KeepingLoss(make_problem(6, 4, 0))
+    traj = integrate(init_layers(4, 4, InitScheme("uniform", scale=0.3), seed=1), loss, ctrl)
+    assert (loss.switch_gap is not None) == (ctrl.mode == "adaptive")
+    assert all(np.array_equal(theta, copy) for theta, copy in loss.kept)
+    assert len({id(theta) for theta, _ in loss.kept}) == len(loss.kept)
+    if ctrl.mode == "fixed":
+        assert len(loss.kept) == len(traj)
+    kept = iter(theta for theta, _ in loss.kept)  # the rows are a subsequence of the kept
+    assert all(any(np.array_equal(row, theta) for theta in kept) for row in traj.thetas)
+
+
 def test_adaptive_step_costs_six_loss_calls():
     # each attempted step takes five gradients and one value and gradient at
     # the new point, which an accepted step reuses (RK4 step doubling took
@@ -841,6 +876,23 @@ def test_a_singular_w_is_a_rejected_rodas_attempt():
 
     y_new, ratio, state = _rodas_step(y, h, np.zeros((7, 2, 1)), rhs, rhs, factors)
     assert y_new is y and ratio == np.inf and state is None
+
+
+@pytest.mark.parametrize("m, d", [(2, 6), (5, 8), (7, 6)])
+def test_dense_w_solver_inverts_the_w_of_a_two_axis_index_bit_for_bit(m, d):
+    # W's blocks c I + B, added through a flat index, are the floats that
+    # W[:, i, :, i] += c I + B gives; the solves of the unit vectors are the
+    # columns of the inverse
+    rng = np.random.default_rng(m * d)
+    q, p, H = rng.uniform(0.5, 1.5, (m, d)), rng.uniform(0.5, 1.5, (m, d)), rng.random((d, d))
+    B, c = rng.standard_normal((d, m, m)), 7.3
+    W = q[:, :, None, None] * H[:, None, :] * p
+    i = np.arange(d)
+    W[:, i, :, i] += c * np.eye(m) + B
+    want = np.linalg.inv(W.reshape(m * d, m * d))
+    solve = _dense_w_solver(c, q, p, B, H)
+    got = np.array([solve(e.reshape(m, d)).ravel() for e in np.eye(m * d)]).T
+    assert np.array_equal(got, want)
 
 
 def test_w_solver_never_forms_the_dense_matrix():

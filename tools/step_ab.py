@@ -16,19 +16,23 @@ drawn as criterion 1 draws it, n = d + 2, uniform init, T = 10, h =
 until the gap reaches ``FLOW_LIMIT_GAP`` or t = 1e4, with ``max_points``
 2000, as ``run_bias`` runs it: Dormand–Prince, then RODAS4. The side that
 goes first alternates by round. A flow's time is the process's CPU time
-(``time.process_time``) over its accepted steps; a tied flow's steps are
-counted once per side, by a run that keeps every row. BLAS is held to one
-thread unless the environment says otherwise.
+(``time.process_time``) over its accepted steps. Before the rounds, each
+side runs every workload once more keeping every row: that run counts its
+accepted steps and hashes its trajectories' columns (times, layers,
+thetas, xi, losses, grads), with their shapes, by SHA-256. BLAS is held to
+one thread unless the environment says otherwise.
 
 Per workload the JSON gives each side's accepted steps per round and
-median µs/step, the median over
-rounds of the change's time over the parent's, and the rounds the change
-took less time in.
+median µs/step, the median over rounds of the change's time over the
+parent's, the rounds the change took less time in, and ``identical``:
+whether both sides' trajectories hash the same. Exits 1 when a workload's
+do not.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -82,26 +86,29 @@ def problems(df) -> dict:
                           for alpha in TIED_ALPHAS]}
 
 
-def steps(df) -> int:
-    """Accepted steps of one fixed-step run, by the driver's own step recurrence."""
-    t, h, count = 0.0, H, 0
-    while (h := df.flow._next_step(t, h, T_MAX)) is not None:
-        t, count = t + h, count + 1
-    return count
-
-
 def tied_control(df, max_points: int = 2000):
     return df.StepController(mode="adaptive", h=H, t_max=1e4, max_points=max_points,
                              stop_gap=df.experiments.FLOW_LIMIT_GAP)
 
 
-def accepted_steps(df, name: str, flows) -> int:
-    """Accepted steps of ``flows`` of workload ``name`` under package ``df``."""
-    if name != "tied_bias":
-        return steps(df) * len(flows)
-    ctrl = tied_control(df, max_points=10**9)  # keeps every row
-    return sum(len(df.integrate_redundant(u0, TIED_LAYERS, df.QuadraticLoss(X, y), ctrl)) - 1
-               for X, y, u0 in flows)
+def fingerprint(df, name: str, flows) -> tuple[int, str]:
+    """Accepted steps of ``flows`` of workload ``name`` under package ``df``, and the
+    SHA-256 of their trajectories' columns, from runs that keep every row."""
+    if name == "tied_bias":
+        ctrl = tied_control(df, max_points=10**9)
+        runs = (df.integrate_redundant(u0, TIED_LAYERS, df.QuadraticLoss(X, y), ctrl)
+                for X, y, u0 in flows)
+    else:
+        ctrl = df.StepController(h=H, t_max=T_MAX, max_points=10**9)
+        runs = (df.integrate(df.LayerStack(layers), df.QuadraticLoss(X, y), ctrl)
+                for X, y, layers in flows)
+    count, digest = 0, hashlib.sha256()
+    for traj in runs:  # one trajectory held at a time
+        count += len(traj) - 1
+        for column in (traj.times, traj.layers, traj.thetas, traj.xi, traj.losses, traj.grads):
+            digest.update(repr(column.shape).encode())
+            digest.update(np.ascontiguousarray(column).tobytes())
+    return count, digest.hexdigest()
 
 
 def time_flows(df, name: str, flows) -> float:
@@ -129,8 +136,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     packages = {side: load(side, getattr(args, side).resolve()) for side in SIDES}
     workloads = problems(packages["change"])
-    counts = {name: {side: accepted_steps(packages[side], name, flows) for side in SIDES}
+    prints = {name: {side: fingerprint(packages[side], name, flows) for side in SIDES}
               for name, flows in workloads.items()}
+    counts = {name: {side: steps for side, (steps, _) in sides.items()}
+              for name, sides in prints.items()}
+    identical = {name: len({digest for _, digest in sides.values()}) == 1
+                 for name, sides in prints.items()}
 
     us = {name: {side: [] for side in SIDES} for name in workloads}
     for r in range(args.rounds):
@@ -147,7 +158,8 @@ def main(argv=None) -> int:
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
         "workloads": {
-            name: {"accepted_steps": counts[name],
+            name: {"identical": identical[name],
+                   "accepted_steps": counts[name],
                    "parent_us_per_step": statistics.median(runs["parent"]),
                    "change_us_per_step": statistics.median(runs["change"]),
                    "ratio_median": statistics.median(
@@ -156,7 +168,7 @@ def main(argv=None) -> int:
             for name, runs in us.items()},
     }
     print(json.dumps(report, indent=1))
-    return 0
+    return 0 if all(identical.values()) else 1
 
 
 if __name__ == "__main__":
